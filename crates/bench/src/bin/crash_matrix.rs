@@ -49,19 +49,13 @@
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
 use nvmm_bench::{print_table, Experiment};
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
+use nvmm_sim::parallel::env_knob;
 use nvmm_sim::system::CrashSpec;
 use nvmm_workloads::{
     crash_instants_cfg, execute, model_check_cfg, model_check_instants_cfg, ModelCheckOpts,
     ModelCheckReport, WorkloadKind, WorkloadSpec,
 };
 use std::collections::BTreeMap;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Aggregate of one (workload, design) cell over all its crash points.
 #[derive(Debug, Default, Clone, Copy)]
@@ -152,11 +146,11 @@ fn columns() -> Vec<(String, SimConfig)> {
 }
 
 fn main() {
-    let ops = env_u64("NVMM_OPS", 6) as usize;
-    let points = env_u64("NVMM_CRASH_POINTS", 6) as usize;
+    let ops = env_knob::<u64>("NVMM_OPS").unwrap_or(6) as usize;
+    let points = env_knob::<u64>("NVMM_CRASH_POINTS").unwrap_or(6) as usize;
     let opts = ModelCheckOpts {
-        max_images: env_u64("NVMM_MC_IMAGES", 64) as usize,
-        seed: env_u64("NVMM_MC_SEED", ModelCheckOpts::default().seed),
+        max_images: env_knob::<u64>("NVMM_MC_IMAGES").unwrap_or(64) as usize,
+        seed: env_knob("NVMM_MC_SEED").unwrap_or(ModelCheckOpts::default().seed),
         ..ModelCheckOpts::default()
     };
     let columns = columns();

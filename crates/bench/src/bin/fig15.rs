@@ -19,6 +19,7 @@
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
 use nvmm_bench::{eval_spec, geo_mean, print_table, Experiment};
 use nvmm_sim::config::{Design, SimConfig};
+use nvmm_sim::parallel::env_knob;
 use nvmm_workloads::WorkloadKind;
 
 const CC_SIZES: [(u64, &str); 7] = [
@@ -37,10 +38,7 @@ const FOOTPRINTS: [(u64, &str); 3] = [
 ];
 
 fn main() {
-    let ops = std::env::var("NVMM_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1500);
+    let ops = env_knob("NVMM_OPS").unwrap_or(1500);
 
     let mut cells = Vec::new();
     for (fp, fp_label) in FOOTPRINTS {

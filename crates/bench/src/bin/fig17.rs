@@ -15,6 +15,7 @@
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
 use nvmm_bench::{eval_spec, geo_mean, print_table, Experiment};
 use nvmm_sim::config::{Design, SimConfig};
+use nvmm_sim::parallel::env_knob;
 use nvmm_workloads::WorkloadKind;
 
 const POINTS: [(f64, &str); 5] = [
@@ -26,10 +27,7 @@ const POINTS: [(f64, &str); 5] = [
 ];
 
 fn main() {
-    let ops = std::env::var("NVMM_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(800);
+    let ops = env_knob("NVMM_OPS").unwrap_or(800);
 
     let mut cells = Vec::new();
     for (axis, is_read) in [("read", true), ("write", false)] {

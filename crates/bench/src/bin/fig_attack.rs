@@ -52,17 +52,11 @@ use nvmm_bench::{print_table, Experiment};
 use nvmm_sim::attack::{expected_vulnerable, run_detection_row, AttackKind, MatrixCell};
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::integrity::IntegritySpec;
+use nvmm_sim::parallel::env_knob;
 use nvmm_sim::system::RunOutcome;
 use nvmm_sim::trace::{Trace, TraceEvent};
 use nvmm_sim::LineAddr;
 use std::time::Instant;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 const POLICIES: [IntegrityPolicy; 6] = [
     IntegrityPolicy::MacOnly,
@@ -115,11 +109,15 @@ fn verdict_bits(row: &[MatrixCell]) -> VerdictBits {
 }
 
 fn main() {
-    let ops = env_u64("NVMM_OPS", 400);
-    let victims = env_u64("NVMM_ATTACK_VICTIMS", 4);
-    let frac_milli = env_u64("NVMM_ATTACK_FRAC_MILLI", 500).clamp(1, 999);
-    let endurance = env_u64("NVMM_ENDURANCE", 100_000_000).max(1);
-    let shards = (env_u64("NVMM_SHARDS", 4) as usize).max(1);
+    let ops = env_knob::<u64>("NVMM_OPS").unwrap_or(400);
+    let victims = env_knob::<u64>("NVMM_ATTACK_VICTIMS").unwrap_or(4);
+    let frac_milli = env_knob::<u64>("NVMM_ATTACK_FRAC_MILLI")
+        .unwrap_or(500)
+        .clamp(1, 999);
+    let endurance = env_knob::<u64>("NVMM_ENDURANCE")
+        .unwrap_or(100_000_000)
+        .max(1);
+    let shards = (env_knob::<u64>("NVMM_SHARDS").unwrap_or(4) as usize).max(1);
     let mut failed = false;
 
     // Budget `ops` across a fixed 8-line footprint: enough rounds that

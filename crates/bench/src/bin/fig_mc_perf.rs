@@ -1,44 +1,42 @@
 //! Model-checker performance: eager rebuild-per-mask enumeration (the
 //! pre-overlay baseline, retained as `CrashSet::enumerate_eager`, with
-//! per-image engine construction) versus the incremental copy-on-write
-//! walk (`CrashSet::enumerate_parallel`) with warm shared engines, and
-//! versus the fused delta-verified walk (`CrashSet::enumerate_verified`)
-//! that re-judges each image from only what its schedule step dirtied.
+//! per-image engine construction) versus the fused delta-verified walk
+//! (`CrashSet::enumerate_verified`) that re-judges each image from only
+//! what its schedule step dirtied.
 //!
 //! For each of the five workloads under SCA with strict integrity
 //! (so the per-image verify oracle does real MAC/tree work), crash
 //! instants are harvested from the run's persist windows and each
 //! instant's crash set is enumerated **and** verified (default
-//! `EnumOpts`) three times in the same process:
+//! `EnumOpts`) in the same process:
 //!
 //! * **eager** — `enumerate_eager` builds every candidate image from
 //!   scratch by replaying the whole journal prefix, then each image is
 //!   verified with freshly constructed encryption/MAC engines — exactly
-//!   the shape of the checker before the overlay landed;
-//! * **incremental** — `enumerate_parallel` walks the mask schedule by
-//!   applying/undoing only the choice group that changed, images are
-//!   deduplicated by the O(1) incremental fingerprint, and each image
-//!   is still *fully* re-verified (with one warmed engine pair shared
-//!   across images and workers) — the shape after the overlay but
-//!   before delta verification;
-//! * **delta** — `enumerate_verified` pairs the overlay with a
-//!   `DeltaVerifier` per worker, so each step re-checks only the
-//!   lines/paths its delta dirtied and the verdict is read off the
-//!   warm verifier state.
+//!   the shape of the checker before the overlay landed. The same
+//!   images are then *fully* re-verified once more with one warmed
+//!   engine pair shared across images and workers (`verify_image_with`)
+//!   — the full-pass baseline the verify-phase gate compares against;
+//! * **delta** — `enumerate_verified` walks the mask schedule with a
+//!   copy-on-write overlay paired with a `DeltaVerifier` per worker, so
+//!   each step re-checks only the lines/paths its delta dirtied and the
+//!   verdict is read off the warm verifier state.
 //!
 //! A replay-adversary sweep rides along: `replay_sweep` (warm verifier
 //! judged against a `FreshnessRef` per image) versus per-mask
-//! `replay_verdict` (full image materialization + full attack check).
+//! `replay_verdict` over the eager enumeration (full image
+//! materialization + full attack check).
 //!
-//! The binary is self-checking: all paths must produce the same image
+//! The binary is self-checking: both paths must produce the same image
 //! count, the same fingerprints, and bit-identical verdicts — Ok/Err
 //! witness strings and attack blame included — on every image, and the
 //! delta paths must be verdict-invariant between 1 worker and
-//! `NVMM_MC_THREADS` workers. On a sampled subset the incremental
-//! fingerprint must equal a from-scratch recompute. It exits nonzero on
-//! any divergence — speed means nothing if the fast path explores a
-//! different space or judges it differently. At non-smoke sizes the
-//! verify-phase speedup is additionally gated at >= 3x geomean.
+//! `NVMM_MC_THREADS` workers. On a sampled subset of the delta images
+//! the incremental fingerprint must equal a from-scratch recompute. It
+//! exits nonzero on any divergence — speed means nothing if the fast
+//! path explores a different space or judges it differently. At
+//! non-smoke sizes the verify-phase speedup (warm full pass over
+//! delta) is additionally gated at >= 3x geomean.
 //!
 //! Environment knobs:
 //!
@@ -48,7 +46,7 @@
 //!   crash sets carry more choice groups, and a larger accumulated
 //!   footprint is what the full-pass re-verification has to pay for).
 //! * `NVMM_CRASH_POINTS` — crash instants per workload (default 5).
-//! * `NVMM_MC_THREADS` — incremental/delta-path workers (defaults to
+//! * `NVMM_MC_THREADS` — delta-path and full-pass workers (defaults to
 //!   `NVMM_THREADS`, then available parallelism).
 //!
 //! The artifact (`target/experiments/BENCH_crashmc.json`) records only
@@ -56,32 +54,25 @@
 //! `deduped`, `violations`, and a `verdict_digest` hash over every
 //! integrity and replay verdict string — so it must be byte-identical
 //! across `NVMM_MC_THREADS` settings (CI compares it). All wall-clock
-//! rows (`eager_ns`, `incremental_ns`, `delta_ns`, the
-//! enumerate/verify splits, and the `speedup`/`fused_speedup`/
-//! `verify_speedup`/`replay_speedup` ratios with their geomeans) live
-//! in the companion `BENCH_crashmc_timing.json`, which legitimately
-//! varies run to run.
+//! rows (`eager_ns`, `delta_ns`, the verify splits, and the
+//! `fused_speedup`/`verify_speedup`/`replay_speedup` ratios with their
+//! geomeans) live in the companion `BENCH_crashmc_timing.json`, which
+//! legitimately varies run to run.
 
 use nvmm_bench::{geo_mean, print_table, Experiment};
 use nvmm_crypto::mac::MacEngine;
 use nvmm_crypto::EncryptionEngine;
 use nvmm_sim::config::{Design, IntegrityPolicy, SimConfig};
 use nvmm_sim::integrity::IntegritySpec;
+use nvmm_sim::parallel::env_knob;
 use nvmm_sim::system::{CrashSpec, System};
 use nvmm_sim::{
     mc_threads, run_parallel, verify_image, verify_image_with, AttackVerdict, CrashSet, EnumOpts,
-    FreshnessRef,
+    Enumeration, FreshnessRef,
 };
 use nvmm_workloads::{crash_instants_cfg, execute, ModelCheckOpts, WorkloadKind, WorkloadSpec};
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Deterministic accounting of enumerate+verify over one workload's
 /// crash sets. Every field is a pure function of the simulated state,
@@ -96,6 +87,7 @@ struct PathAgg {
 
 /// One path's outcome: wall-clock split, accounting, and the full
 /// per-set fingerprint + verdict vectors the equivalence gates compare.
+#[derive(Default)]
 struct PathOut {
     enum_ns: u64,
     verify_ns: u64,
@@ -108,18 +100,41 @@ impl PathOut {
     fn total_ns(&self) -> u64 {
         self.enum_ns + self.verify_ns
     }
+
+    fn record(&mut self, en: &Enumeration, vs: Vec<Result<(), String>>) {
+        self.agg.violations += vs.iter().filter(|v| v.is_err()).count() as u64;
+        self.agg.images += en.images.len() as u64;
+        self.agg.masks += en.stats.masks_explored;
+        self.agg.deduped += en.stats.images_deduped;
+        self.fps
+            .push(en.images.iter().map(|(_, img)| img.fingerprint()).collect());
+        self.verdicts.push(vs);
+    }
 }
 
-/// The eager baseline: rebuild every image from scratch, verify each
-/// with freshly constructed engines, sequentially.
-fn run_eager(sets: &[CrashSet], key: [u8; 16], integrity: IntegritySpec) -> PathOut {
-    let mut out = PathOut {
-        enum_ns: 0,
-        verify_ns: 0,
-        agg: PathAgg::default(),
-        fps: Vec::new(),
-        verdicts: Vec::new(),
-    };
+/// The warm full-pass re-verification of the eager images: the
+/// verify-phase baseline, with its verdicts for the equivalence gate.
+#[derive(Default)]
+struct FullPass {
+    verify_ns: u64,
+    verdicts: Vec<Vec<Result<(), String>>>,
+}
+
+/// The eager baseline: rebuild every image from scratch and verify each
+/// with freshly constructed engines, sequentially. The same images are
+/// then re-verified in full with one warmed engine pair shared across
+/// images and `threads` workers — the work the fused walk's delta
+/// verification replaces.
+fn run_eager(
+    sets: &[CrashSet],
+    key: [u8; 16],
+    integrity: IntegritySpec,
+    threads: usize,
+) -> (PathOut, FullPass) {
+    let mut out = PathOut::default();
+    let mut full = FullPass::default();
+    let engine = EncryptionEngine::new(key);
+    let mac_engine = MacEngine::new(key);
     for set in sets {
         let t0 = Instant::now();
         let en = set.enumerate_eager(EnumOpts::default());
@@ -131,77 +146,36 @@ fn run_eager(sets: &[CrashSet], key: [u8; 16], integrity: IntegritySpec) -> Path
             .map(|(_, img)| verify_image(img, integrity, key))
             .collect();
         out.verify_ns += t1.elapsed().as_nanos() as u64;
-        out.agg.violations += vs.iter().filter(|v| v.is_err()).count() as u64;
-        out.agg.images += en.images.len() as u64;
-        out.agg.masks += en.stats.masks_explored;
-        out.agg.deduped += en.stats.images_deduped;
-        out.fps
-            .push(en.images.iter().map(|(_, img)| img.fingerprint()).collect());
-        out.verdicts.push(vs);
-    }
-    out
-}
-
-/// The incremental path: overlay walk, parallel masks, then a *full*
-/// re-verification of every image with one warmed engine pair shared
-/// across images and workers — the pre-delta checker shape.
-fn run_incremental(
-    sets: &[CrashSet],
-    key: [u8; 16],
-    integrity: IntegritySpec,
-    threads: usize,
-) -> PathOut {
-    let mut out = PathOut {
-        enum_ns: 0,
-        verify_ns: 0,
-        agg: PathAgg::default(),
-        fps: Vec::new(),
-        verdicts: Vec::new(),
-    };
-    let engine = EncryptionEngine::new(key);
-    let mac_engine = MacEngine::new(key);
-    for set in sets {
-        let t0 = Instant::now();
-        let en = set.enumerate_parallel(EnumOpts::default(), threads);
-        out.enum_ns += t0.elapsed().as_nanos() as u64;
-        let t1 = Instant::now();
-        let vs = run_parallel(threads, &en.images, |(_, img)| {
+        let t2 = Instant::now();
+        let warm = run_parallel(threads, &en.images, |(_, img)| {
             verify_image_with(img, integrity, &engine, &mac_engine)
         });
-        out.verify_ns += t1.elapsed().as_nanos() as u64;
-        out.agg.violations += vs.iter().filter(|v| v.is_err()).count() as u64;
-        out.agg.images += en.images.len() as u64;
-        out.agg.masks += en.stats.masks_explored;
-        out.agg.deduped += en.stats.images_deduped;
-        out.fps
-            .push(en.images.iter().map(|(_, img)| img.fingerprint()).collect());
-        out.verdicts.push(vs);
+        full.verify_ns += t2.elapsed().as_nanos() as u64;
+        full.verdicts.push(warm);
+        out.record(&en, vs);
     }
-    out
+    (out, full)
 }
 
 /// The delta path: the fused walk re-verifies only what each schedule
 /// step dirtied. The walk self-reports its verify share (the dirty-cell
 /// flushes plus verdict reads, timed at the flush sites), so the
 /// enumerate/verify split is measured directly rather than estimated by
-/// differencing two near-equal wall-clock totals.
+/// differencing two near-equal wall-clock totals. Also reports whether
+/// any sampled image's incremental fingerprint drifted from a
+/// from-scratch recompute.
 fn run_delta(
     sets: &[CrashSet],
     key: [u8; 16],
     integrity: IntegritySpec,
     threads: usize,
-) -> PathOut {
-    let mut out = PathOut {
-        enum_ns: 0,
-        verify_ns: 0,
-        agg: PathAgg::default(),
-        fps: Vec::new(),
-        verdicts: Vec::new(),
-    };
+) -> (PathOut, bool) {
+    let mut out = PathOut::default();
+    let mut drifted = false;
     let engine = EncryptionEngine::new(key);
     let mac_engine = MacEngine::new(key);
-    let started = Instant::now();
     for set in sets {
+        let t0 = Instant::now();
         let (en, vs, verify_ns) = set.enumerate_verified_timed(
             EnumOpts::default(),
             threads,
@@ -209,21 +183,20 @@ fn run_delta(
             &engine,
             &mac_engine,
         );
+        out.enum_ns += (t0.elapsed().as_nanos() as u64).saturating_sub(verify_ns);
         out.verify_ns += verify_ns;
-        out.agg.violations += vs.iter().filter(|v| v.is_err()).count() as u64;
-        out.agg.images += en.images.len() as u64;
-        out.agg.masks += en.stats.masks_explored;
-        out.agg.deduped += en.stats.images_deduped;
-        out.fps
-            .push(en.images.iter().map(|(_, img)| img.fingerprint()).collect());
-        out.verdicts.push(vs);
+        drifted |= en
+            .images
+            .iter()
+            .step_by(7)
+            .any(|(_, img)| img.fingerprint() != img.fingerprint_recompute());
+        out.record(&en, vs);
     }
-    out.enum_ns = (started.elapsed().as_nanos() as u64).saturating_sub(out.verify_ns);
-    out
+    (out, drifted)
 }
 
-/// The replay-adversary baseline: enumerate, then judge each retained
-/// mask with `replay_verdict` — full image materialization plus a full
+/// The replay-adversary baseline: enumerate eagerly, then judge each
+/// retained mask with `replay_verdict` — full image materialization plus a full
 /// attack check per mask.
 fn run_replay_eager(
     sets: &[CrashSet],
@@ -236,7 +209,7 @@ fn run_replay_eager(
     let mut verdicts = Vec::new();
     let started = Instant::now();
     for set in sets {
-        let en = set.enumerate_parallel(EnumOpts::default(), 1);
+        let en = set.enumerate_eager(EnumOpts::default());
         verdicts.push(
             en.images
                 .iter()
@@ -308,9 +281,9 @@ fn main() {
     // and the figure degenerates. 16 transactions of 24 lines keep the
     // full run in seconds while leaving the speedup well clear of its
     // gate; CI smoke shrinks below the gate threshold and self-skips.
-    let ops = env_u64("NVMM_OPS", 16) as usize;
-    let payload = env_u64("NVMM_PAYLOAD_LINES", 24) as usize;
-    let points = env_u64("NVMM_CRASH_POINTS", 5) as usize;
+    let ops = env_knob::<u64>("NVMM_OPS").unwrap_or(16) as usize;
+    let payload = env_knob::<u64>("NVMM_PAYLOAD_LINES").unwrap_or(24) as usize;
+    let points = env_knob::<u64>("NVMM_CRASH_POINTS").unwrap_or(5) as usize;
     let threads = mc_threads();
     let cfg = SimConfig::single_core(Design::Sca).with_integrity(IntegrityPolicy::Strict);
     let integrity = IntegritySpec::from_config(&cfg);
@@ -323,10 +296,9 @@ fn main() {
     );
     let mut timing = Experiment::new(
         "BENCH_crashmc_timing",
-        "enumerate+verify wall-clock per workload: eager rebuild vs incremental overlay vs fused delta verification",
+        "enumerate+verify wall-clock per workload: eager rebuild vs fused delta verification",
     );
     let mut failed = false;
-    let mut speedups = Vec::new();
     let mut fused_speedups = Vec::new();
     let mut verify_speedups = Vec::new();
     let mut replay_speedups = Vec::new();
@@ -360,10 +332,9 @@ fn main() {
             .image;
         let fresh = FreshnessRef::capture(&full, integrity);
 
-        let eager = run_eager(&sets, key, integrity);
-        let inc = run_incremental(&sets, key, integrity, threads);
-        let delta = run_delta(&sets, key, integrity, threads);
-        let delta_t1 = run_delta(&sets, key, integrity, 1);
+        let (eager, full) = run_eager(&sets, key, integrity, threads);
+        let (delta, drifted) = run_delta(&sets, key, integrity, threads);
+        let (delta_t1, _) = run_delta(&sets, key, integrity, 1);
         let (replay_eager_ns, replay_eager) = run_replay_eager(&sets, key, integrity, &fresh);
         let (replay_sweep_ns, replay_sweep) =
             run_replay_sweep(&sets, key, integrity, &fresh, threads);
@@ -372,24 +343,23 @@ fn main() {
         // Equivalence gates: same images, same fingerprints, and
         // bit-identical verdicts (witness/blame strings included) on
         // every path and at every worker count.
-        if eager.fps != inc.fps || eager.fps != delta.fps || eager.fps != delta_t1.fps {
+        if eager.fps != delta.fps || eager.fps != delta_t1.fps {
             eprintln!(
                 "FAIL: {}: enumeration paths diverge on fingerprints",
                 kind.label()
             );
             failed = true;
         }
-        if eager.agg != inc.agg || eager.agg != delta.agg {
+        if eager.agg != delta.agg {
             eprintln!(
-                "FAIL: {}: path accounting diverges (eager {:?} vs incremental {:?} vs delta {:?})",
+                "FAIL: {}: path accounting diverges (eager {:?} vs delta {:?})",
                 kind.label(),
                 eager.agg,
-                inc.agg,
                 delta.agg
             );
             failed = true;
         }
-        if eager.verdicts != inc.verdicts || eager.verdicts != delta.verdicts {
+        if eager.verdicts != full.verdicts || eager.verdicts != delta.verdicts {
             eprintln!(
                 "FAIL: {}: integrity verdicts diverge between full-pass and delta verification",
                 kind.label()
@@ -410,33 +380,23 @@ fn main() {
             );
             failed = true;
         }
-        // Incremental fingerprint vs from-scratch recompute on a
-        // sampled subset of the enumerated images.
-        for set in &sets {
-            let en = set.enumerate_parallel(EnumOpts::default(), 1);
-            for (_, img) in en.images.iter().step_by(7) {
-                if img.fingerprint() != img.fingerprint_recompute() {
-                    eprintln!(
-                        "FAIL: {}: incremental fingerprint drifted from recompute",
-                        kind.label()
-                    );
-                    failed = true;
-                }
-            }
+        if drifted {
+            eprintln!(
+                "FAIL: {}: incremental fingerprint drifted from recompute",
+                kind.label()
+            );
+            failed = true;
         }
 
         let eager_ns = eager.total_ns();
-        let inc_ns = inc.total_ns();
         let delta_ns = delta.total_ns();
         // Self-reported by the fused walk: time spent flushing dirty
         // cells into the verifier and reading verdicts, measured at the
         // flush sites rather than estimated by differencing totals.
         let delta_verify_ns = delta.verify_ns.max(1);
-        let speedup = eager_ns as f64 / inc_ns.max(1) as f64;
         let fused_speedup = eager_ns as f64 / delta_ns.max(1) as f64;
-        let verify_speedup = inc.verify_ns as f64 / delta_verify_ns as f64;
+        let verify_speedup = full.verify_ns as f64 / delta_verify_ns as f64;
         let replay_speedup = replay_eager_ns as f64 / replay_sweep_ns.max(1) as f64;
-        speedups.push(speedup);
         fused_speedups.push(fused_speedup);
         verify_speedups.push(verify_speedup);
         replay_speedups.push(replay_speedup);
@@ -454,12 +414,9 @@ fn main() {
         );
         timing.insert(&row, "eager_ns", eager_ns as f64);
         timing.insert(&row, "eager_verify_ns", eager.verify_ns as f64);
-        timing.insert(&row, "incremental_ns", inc_ns as f64);
-        timing.insert(&row, "inc_enum_ns", inc.enum_ns as f64);
-        timing.insert(&row, "full_verify_ns", inc.verify_ns as f64);
+        timing.insert(&row, "full_verify_ns", full.verify_ns as f64);
         timing.insert(&row, "delta_ns", delta_ns as f64);
         timing.insert(&row, "delta_verify_ns", delta_verify_ns as f64);
-        timing.insert(&row, "speedup", speedup);
         timing.insert(&row, "fused_speedup", fused_speedup);
         timing.insert(&row, "verify_speedup", verify_speedup);
         timing.insert(&row, "replay_eager_ns", replay_eager_ns as f64);
@@ -469,7 +426,6 @@ fn main() {
             row,
             vec![
                 eager_ns as f64 / 1e6,
-                inc_ns as f64 / 1e6,
                 delta_ns as f64 / 1e6,
                 verify_speedup,
                 fused_speedup,
@@ -479,15 +435,12 @@ fn main() {
     }
 
     let headline = geo_mean(&verify_speedups);
-    timing.insert("geomean", "speedup", geo_mean(&speedups));
     timing.insert("geomean", "fused_speedup", geo_mean(&fused_speedups));
     timing.insert("geomean", "verify_speedup", headline);
     timing.insert("geomean", "replay_speedup", geo_mean(&replay_speedups));
     print_table(
-        "enumerate+verify: eager vs incremental vs delta",
-        &[
-            "eager ms", "incr ms", "delta ms", "verify x", "fused x", "images",
-        ],
+        "enumerate+verify: eager vs delta",
+        &["eager ms", "delta ms", "verify x", "fused x", "images"],
         &rows,
     );
     println!(

@@ -57,19 +57,13 @@
 use nvmm_bench::sweep::{SweepCell, SweepRunner};
 use nvmm_bench::{print_table, Experiment};
 use nvmm_sim::config::{Design, SimConfig};
+use nvmm_sim::parallel::env_knob;
 use nvmm_sim::system::{CrashSpec, RunOutcome, System};
 use nvmm_sim::time::Time;
 use nvmm_sim::trace::{TraceEvent, TraceStream};
 use nvmm_sim::LineAddr;
 use nvmm_workloads::{shape_open_loop, traces_for_cores, ArrivalCurve, WorkloadKind, WorkloadSpec};
 use std::time::Instant;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 const CORES: usize = 4;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -155,10 +149,10 @@ fn run_stream(shards: usize, ops: u64, batch: Option<u64>) -> (RunOutcome, u64) 
 }
 
 fn main() {
-    let ops = env_u64("NVMM_OPS", 120) as usize;
-    let demo_shards = (env_u64("NVMM_SHARDS", 4) as usize).max(1);
-    let stream_ops = env_u64("NVMM_STREAM_OPS", 20_000);
-    let batch = env_u64("NVMM_SERVICE_BATCH", 4096);
+    let ops = env_knob::<u64>("NVMM_OPS").unwrap_or(120) as usize;
+    let demo_shards = (env_knob::<u64>("NVMM_SHARDS").unwrap_or(4) as usize).max(1);
+    let stream_ops = env_knob::<u64>("NVMM_STREAM_OPS").unwrap_or(20_000);
+    let batch = env_knob::<u64>("NVMM_SERVICE_BATCH").unwrap_or(4096);
     let runner = SweepRunner::from_env();
     let mut failed = false;
 

@@ -33,7 +33,9 @@
 //! particular), and fans unique simulations across worker threads with
 //! bit-identical results for any thread count.
 //!
-//! Environment knobs, honored by every binary:
+//! Environment knobs, honored by every binary (parsed by
+//! [`nvmm_sim::parallel::env_knob`]: a malformed value exits with an
+//! error rather than falling back to the default):
 //!
 //! * `NVMM_OPS` — transactions per core (default 400; a few binaries
 //!   document larger defaults). Smaller runs faster and noisier.
@@ -57,6 +59,7 @@ pub mod sweep;
 
 use nvmm_json::{field, FromJson, FromJsonError, Json, ToJson};
 use nvmm_sim::config::Design;
+use nvmm_sim::parallel::env_knob;
 use nvmm_sim::stats::Stats;
 use nvmm_sim::system::RunOutcome;
 use nvmm_sim::telemetry::Timeline;
@@ -68,10 +71,7 @@ use sweep::{SweepCell, SweepRunner};
 /// Transactions per core used by the experiments, overridable via the
 /// `NVMM_OPS` environment variable.
 pub fn experiment_ops() -> usize {
-    std::env::var("NVMM_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400)
+    env_knob("NVMM_OPS").unwrap_or(400)
 }
 
 /// The evaluation-default spec with the experiment op count applied.

@@ -40,7 +40,7 @@ use crate::{CellRecord, Experiment};
 use nvmm_json::ToJson;
 use nvmm_sim::config::{Design, SimConfig};
 use nvmm_sim::nvmm::NvmmImage;
-use nvmm_sim::parallel::run_parallel;
+use nvmm_sim::parallel::{env_knob, run_parallel};
 use nvmm_sim::system::{CrashSpec, RunOutcome, System};
 use nvmm_sim::time::Time;
 use nvmm_sim::trace::Trace;
@@ -156,14 +156,11 @@ impl SweepRunner {
     /// Thread count from the `NVMM_THREADS` environment variable,
     /// defaulting to the machine's available parallelism.
     pub fn from_env() -> Self {
-        let threads = std::env::var("NVMM_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
+        let threads = env_knob("NVMM_THREADS").unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
         Self::with_threads(threads)
     }
 
@@ -181,10 +178,7 @@ impl SweepRunner {
     pub fn run(&self, mut cells: Vec<SweepCell>) -> SweepOutcomes {
         // Env-driven telemetry: cells without an explicit epoch inherit
         // NVMM_EPOCH_NS. Applied before keying so the dedupe sees it.
-        if let Some(ns) = std::env::var("NVMM_EPOCH_NS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
+        if let Some(ns) = env_knob::<u64>("NVMM_EPOCH_NS") {
             for cell in &mut cells {
                 if cell.cfg.telemetry_epoch.is_none() && ns > 0 {
                     cell.cfg.telemetry_epoch = Some(Time::from_ns(ns));

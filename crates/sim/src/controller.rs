@@ -1123,32 +1123,7 @@ impl MemoryController {
     pub(crate) fn drain_journal_prefix(&mut self, n: usize) {
         self.journal.drain(..n);
     }
-
-    /// Removes and returns every journal record submitted strictly
-    /// before `watermark` — the journal is nondecreasing in
-    /// `submitted_at`, so this is a prefix. Shard worker threads ship
-    /// the prefix back to the replay front end during parallel
-    /// batched-journal compaction, which folds the merged prefixes into
-    /// the global base image
-    /// ([`crate::shard::ShardedController::fold_shipped`]).
-    pub(crate) fn take_journal_prefix(&mut self, watermark: Time) -> Vec<JournalRecord> {
-        let n = self
-            .journal
-            .partition_point(|rec| rec.submitted_at < watermark);
-        self.journal.drain(..n).collect()
-    }
 }
-
-/// A [`MemoryController`] is `Send`: every piece of its state is owned
-/// or `Arc`-shared (the crypto memos), so a shard worker thread can own
-/// its controllers for the duration of a parallel replay. Each shard
-/// builds its *own* [`EncryptionEngine`]/MAC memo from the shared key,
-/// so the memo maps are contention-free per shard even though the type
-/// is thread-safe.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<MemoryController>()
-};
 
 #[cfg(test)]
 mod tests {

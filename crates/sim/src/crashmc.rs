@@ -40,8 +40,8 @@
 //! pair's counter bump) landing without the earlier pair's data, which
 //! would garble a line FCA in fact protects.
 //!
-//! [`CrashSet::enumerate`] materializes the image for every legal
-//! prefix combination, with two bounds that keep the space tractable:
+//! [`CrashSet::enumerate_verified`] materializes the image for every
+//! legal prefix combination, with two bounds that keep the space tractable:
 //!
 //! * **Shadow pruning** — a choice group whose every write is later
 //!   overwritten by a *guaranteed* full-line write to the same target
@@ -72,14 +72,16 @@
 //! image, one odometer step costs O(ops of the changed group) instead of
 //! O(journal length).
 //!
-//! [`CrashSet::enumerate_parallel`] fans the schedule out across scoped
-//! worker threads in contiguous chunks, each walked by its own overlay
-//! and deduplicated locally; chunks merge in schedule order, so the
-//! result — retained masks, images, and stats — is bit-identical to the
-//! sequential walk for any thread count. The pre-rewrite path survives
-//! as [`CrashSet::enumerate_eager`]: the differential suite and the
-//! `fig_mc_perf` baseline hold the two implementations against each
-//! other.
+//! The fused walk ([`CrashSet::enumerate_verified`],
+//! [`CrashSet::replay_sweep`]) pairs each overlay with a
+//! [`DeltaVerifier`] that re-checks only the cells a step dirtied, and
+//! fans the schedule out across scoped worker threads in contiguous
+//! chunks, each walked and deduplicated locally; chunks merge in
+//! schedule order, so retained masks, images, verdicts and stats are
+//! bit-identical to a single-threaded walk for any thread count. It is
+//! the one production walk. The pre-rewrite path survives as
+//! [`CrashSet::enumerate_eager`], the one differential oracle the tests
+//! and the `fig_mc_perf` baseline hold the fused walk against.
 
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, TreeNodeAddr};
 use crate::controller::{JournalOp, JournalRecord};
@@ -542,8 +544,8 @@ impl CrashSet {
     /// The cut schedule `opts` prescribes: every legal prefix
     /// combination in odometer order (domain 0 fastest) when the space
     /// fits the cap, else the two corners followed by the seeded
-    /// splitmix64 stream. Both the incremental and the eager enumerator
-    /// walk this same schedule, so their explored masks are identical by
+    /// splitmix64 stream. Both the fused and the eager enumerator walk
+    /// this same schedule, so their explored masks are identical by
     /// construction. The schedule is a *decoder*, not a table — each
     /// mask's cut vector is computed on demand into a caller buffer
     /// ([`CutSchedule::cuts_into`]), so an exhaustive run over millions
@@ -585,61 +587,12 @@ impl CrashSet {
         self.legal_images().min(opts.max_images.max(1) as u64) as usize
     }
 
-    /// Enumerates the legal post-crash images within `opts`' bounds,
-    /// single-threaded. Equivalent to
-    /// [`CrashSet::enumerate_parallel`] with one thread.
-    pub fn enumerate(&self, opts: EnumOpts) -> Enumeration {
-        self.enumerate_parallel(opts, 1)
-    }
-
-    /// Enumerates the legal post-crash images within `opts`' bounds over
-    /// up to `threads` worker threads.
-    ///
-    /// The cut schedule is split into contiguous chunks, each walked by
-    /// its own `ImageOverlay` and deduplicated locally; chunks merge
-    /// in schedule order, so retained masks, images, and stats are
-    /// bit-identical to the single-threaded walk for any thread count.
-    pub fn enumerate_parallel(&self, opts: EnumOpts, threads: usize) -> Enumeration {
-        let sched = self.cut_schedule(opts);
-        let threads = threads.max(1);
-        let n = sched.n_masks;
-        let chunks = chunk_ranges(n, threads);
-        let walked: Vec<Vec<(u128, LandMask, NvmmImage)>> =
-            run_parallel(threads, &chunks, |&(start, end)| {
-                let mut overlay = ImageOverlay::new(self);
-                let mut local_seen: FxHashSet<u128> = FxHashSet::default();
-                let mut out = Vec::new();
-                let mut cuts = Vec::with_capacity(sched.n_domains());
-                for i in start..end {
-                    sched.cuts_into(i, &mut cuts);
-                    overlay.goto(&cuts);
-                    let fp = overlay.image().fingerprint();
-                    if local_seen.insert(fp) {
-                        out.push((fp, overlay.mask().clone(), overlay.image().clone()));
-                    }
-                }
-                out
-            });
-        let mut seen: FxHashSet<u128> = FxHashSet::default();
-        seen.reserve(self.seen_capacity(opts));
-        let mut images: Vec<(LandMask, NvmmImage)> = Vec::new();
-        for chunk in walked {
-            for (fp, mask, img) in chunk {
-                if seen.insert(fp) {
-                    images.push((mask, img));
-                }
-            }
-        }
-        Enumeration {
-            stats: self.stats_for(&sched, images.len()),
-            images,
-        }
-    }
-
     /// The pre-overlay enumerator: materializes a fresh image with
     /// [`CrashSet::image`] for every mask of the same cut schedule.
-    /// Retained as the reference implementation the differential tests
-    /// and the `fig_mc_perf` speedup baseline measure against.
+    /// Retained as the one differential oracle the fused walk
+    /// ([`CrashSet::enumerate_verified`]) is tested against, and as the
+    /// `fig_mc_perf` baseline; also the plain way to list the images
+    /// when no verdict is wanted.
     pub fn enumerate_eager(&self, opts: EnumOpts) -> Enumeration {
         let sched = self.cut_schedule(opts);
         let mut seen: FxHashSet<u128> = FxHashSet::default();
@@ -692,7 +645,6 @@ impl CrashSet {
         type Walked<R> = Vec<(u128, LandMask, NvmmImage, R)>;
         let walked: Vec<(Walked<R>, u64)> = run_parallel(threads, &chunks, |&(start, end)| {
             let mut overlay = ImageOverlay::new(self);
-            overlay.set_collect_dirty(true);
             let mut verifier = DeltaVerifier::new(overlay.image(), spec, engine, mac_engine);
             let mut local_seen: FxHashSet<u128> = FxHashSet::default();
             let mut out = Vec::new();
@@ -1041,10 +993,9 @@ pub(crate) struct ImageOverlay<'a> {
     cuts: Vec<usize>,
     mask: LandMask,
     /// Cells whose image value was rewritten or cleared by the latest
-    /// [`ImageOverlay::goto`] (may contain duplicates). Only maintained
-    /// when `collect_dirty` is on — the delta verifier's feed.
+    /// [`ImageOverlay::goto`] (may contain duplicates) — the delta
+    /// verifier's feed.
     dirty: Vec<CellKey>,
-    collect_dirty: bool,
 }
 
 impl<'a> ImageOverlay<'a> {
@@ -1096,22 +1047,12 @@ impl<'a> ImageOverlay<'a> {
             cuts: vec![0; set.domain_order.len()],
             mask: LandMask::zeros(set.groups),
             dirty: Vec::new(),
-            collect_dirty: false,
             set,
         }
     }
 
-    /// Turns dirty-cell collection on or off. While on, each
-    /// [`ImageOverlay::goto`] records the cells it rewrote or cleared,
-    /// readable through [`ImageOverlay::dirty`] until the next move.
-    pub(crate) fn set_collect_dirty(&mut self, on: bool) {
-        self.collect_dirty = on;
-        self.dirty.clear();
-    }
-
     /// Cells the latest [`ImageOverlay::goto`] changed (duplicates
-    /// possible when several groups rewrote one cell). Empty unless
-    /// collection was enabled via [`ImageOverlay::set_collect_dirty`].
+    /// possible when several groups rewrote one cell).
     pub(crate) fn dirty(&self) -> &[CellKey] {
         &self.dirty
     }
@@ -1144,9 +1085,7 @@ impl<'a> ImageOverlay<'a> {
                     self.cell_keys[cell],
                     &self.set.entries[entry].op,
                 );
-                if self.collect_dirty {
-                    self.dirty.push(self.cell_keys[cell]);
-                }
+                self.dirty.push(self.cell_keys[cell]);
             }
         }
     }
@@ -1170,9 +1109,7 @@ impl<'a> ImageOverlay<'a> {
                     }
                     None => clear_cell(&mut self.img, self.cell_keys[cell]),
                 }
-                if self.collect_dirty {
-                    self.dirty.push(self.cell_keys[cell]);
-                }
+                self.dirty.push(self.cell_keys[cell]);
             }
         }
     }
@@ -1181,9 +1118,7 @@ impl<'a> ImageOverlay<'a> {
     /// groups whose domain prefix changed.
     pub(crate) fn goto(&mut self, target: &[usize]) {
         debug_assert_eq!(target.len(), self.cuts.len());
-        if self.collect_dirty {
-            self.dirty.clear();
-        }
+        self.dirty.clear();
         for (d, &tgt) in target.iter().enumerate() {
             let cur = self.cuts[d];
             if tgt > cur {
@@ -1288,7 +1223,7 @@ mod tests {
         let mut stale_caught = 0u64;
         for t in probe_times(3_000) {
             let set = c.crash_set(t);
-            for (mask, img) in set.enumerate(EnumOpts::default()).images {
+            for (mask, img) in set.enumerate_eager(EnumOpts::default()).images {
                 let v = set.replay_verdict(&mask, spec, &engine, &mac_engine, &fresh);
                 if counter_region(&img) != full_counters {
                     assert!(
@@ -1310,7 +1245,7 @@ mod tests {
         c.writeback(LineAddr(3), data, false, Time::from_ns(10), &mut s);
         for t in probe_times(1_000) {
             let set = c.crash_set(t);
-            for (mask, img) in set.enumerate(EnumOpts::default()).images {
+            for (mask, img) in set.enumerate_eager(EnumOpts::default()).images {
                 let r = img.read_line(LineAddr(3), c.engine());
                 assert!(
                     r.is_clean(),
@@ -1335,7 +1270,7 @@ mod tests {
         assert_eq!(set.group_count(), 1, "one CA pair in flight");
         assert_eq!(set.in_flight_len(), 2, "pair = data + counter records");
         assert_eq!(set.legal_images(), 2);
-        let e = set.enumerate(EnumOpts::default());
+        let e = set.enumerate_eager(EnumOpts::default());
         assert!(e.stats.exhaustive);
         assert_eq!(e.stats.masks_explored, 2);
         assert_eq!(e.stats.domains, 1);
@@ -1358,7 +1293,7 @@ mod tests {
         assert_eq!(set.group_count(), 2, "both pairs in flight");
         assert_eq!(set.domain_count(), 1, "one pairing coordinator");
         assert_eq!(set.legal_images(), 3, "prefixes {{}}, {{1}}, {{1,2}}");
-        let e = set.enumerate(EnumOpts::default());
+        let e = set.enumerate_eager(EnumOpts::default());
         assert!(e.stats.exhaustive);
         assert_eq!(e.stats.masks_explored, 3);
         for (mask, img) in &e.images {
@@ -1384,7 +1319,7 @@ mod tests {
         c.writeback(LineAddr(4), [2; 64], false, Time::from_ns(400), &mut s);
         let set = c.crash_set(c.quiesce_time());
         assert_eq!(set.group_count(), 0, "no in-flight entries after quiesce");
-        let e = set.enumerate(EnumOpts::default());
+        let e = set.enumerate_eager(EnumOpts::default());
         assert_eq!(e.images.len(), 1);
         assert_eq!(
             e.images[0].1.fingerprint(),
@@ -1418,7 +1353,7 @@ mod tests {
         );
         // Whatever the surviving choice groups do, line 4 is pinned by
         // the later guaranteed writes: always the newest plaintext.
-        for (mask, img) in set.enumerate(EnumOpts::default()).images {
+        for (mask, img) in set.enumerate_eager(EnumOpts::default()).images {
             assert_eq!(
                 img.read_line(LineAddr(4), c.engine()),
                 LineRead::Clean([2; 64]),
@@ -1448,8 +1383,8 @@ mod tests {
             max_images: 64,
             seed: 7,
         };
-        let a = set.enumerate(opts);
-        let b = set.enumerate(opts);
+        let a = set.enumerate_eager(opts);
+        let b = set.enumerate_eager(opts);
         assert!(!a.stats.exhaustive);
         assert_eq!(a.stats.masks_explored, 64);
         assert_eq!(a.images.len(), b.images.len());
@@ -1461,7 +1396,7 @@ mod tests {
             assert!(set.is_legal(mask), "sampled an illegal mask");
         }
         // A different seed explores a different sample.
-        let c2 = set.enumerate(EnumOpts {
+        let c2 = set.enumerate_eager(EnumOpts {
             max_images: 64,
             seed: 8,
         });
@@ -1474,37 +1409,43 @@ mod tests {
         );
     }
 
-    /// Asserts the incremental overlay walk, the eager replay, and the
-    /// parallel walk agree exactly: same masks, same fingerprints, same
+    /// Asserts the eager replay and the fused overlay walk agree exactly
+    /// at 1, 2 and 5 worker threads: same masks, same fingerprints, same
     /// stats, in the same order.
     fn assert_enumerations_agree(set: &CrashSet, opts: EnumOpts) {
+        let key = SimConfig::single_core(Design::Sca).key;
+        let (engine, mac_engine) = (EncryptionEngine::new(key), MacEngine::new(key));
         let eager = set.enumerate_eager(opts);
-        let inc = set.enumerate(opts);
-        assert_eq!(
-            eager.stats,
-            inc.stats,
-            "stats diverged at {}",
-            set.crash_time()
-        );
-        assert_eq!(eager.images.len(), inc.images.len());
-        for ((me, ie), (mi, ii)) in eager.images.iter().zip(inc.images.iter()) {
-            assert_eq!(me, mi, "retained masks diverged at {}", set.crash_time());
+        for threads in [1, 2, 5] {
+            let (fused, _) = set.enumerate_verified(
+                opts,
+                threads,
+                IntegritySpec::disabled(),
+                &engine,
+                &mac_engine,
+            );
             assert_eq!(
-                ie.fingerprint(),
-                ii.fingerprint(),
-                "images diverged for mask {:?} at {}",
-                me.landed(),
+                eager.stats,
+                fused.stats,
+                "{threads}-thread stats diverged at {}",
                 set.crash_time()
             );
-            assert_eq!(ii.fingerprint(), ii.fingerprint_recompute());
-        }
-        for threads in [2, 5] {
-            let par = set.enumerate_parallel(opts, threads);
-            assert_eq!(par.stats, inc.stats, "{threads}-thread stats diverged");
-            assert_eq!(par.images.len(), inc.images.len());
-            for ((ma, ia), (mb, ib)) in inc.images.iter().zip(par.images.iter()) {
-                assert_eq!(ma, mb, "{threads}-thread masks diverged");
-                assert_eq!(ia.fingerprint(), ib.fingerprint());
+            assert_eq!(eager.images.len(), fused.images.len());
+            for ((me, ie), (mf, f)) in eager.images.iter().zip(fused.images.iter()) {
+                assert_eq!(
+                    me,
+                    mf,
+                    "{threads}-thread retained masks diverged at {}",
+                    set.crash_time()
+                );
+                assert_eq!(
+                    ie.fingerprint(),
+                    f.fingerprint(),
+                    "{threads}-thread images diverged for mask {:?} at {}",
+                    me.landed(),
+                    set.crash_time()
+                );
+                assert_eq!(f.fingerprint(), f.fingerprint_recompute());
             }
         }
     }
@@ -1816,7 +1757,7 @@ mod tests {
             );
         }
         for t in probe_times(800) {
-            let e = c.crash_set(t).enumerate(EnumOpts::default());
+            let e = c.crash_set(t).enumerate_eager(EnumOpts::default());
             assert_eq!(
                 e.stats.images_deduped,
                 e.stats.masks_explored - e.images.len() as u64
@@ -1857,7 +1798,7 @@ mod tests {
             4,
             "the shards' pairing coordinators race independently"
         );
-        let e = set.enumerate(EnumOpts::default());
+        let e = set.enumerate_eager(EnumOpts::default());
         assert!(e.stats.exhaustive);
         assert_eq!(e.images.len(), 4);
         // Shard 1's pair landing without shard 0's is a legal image —

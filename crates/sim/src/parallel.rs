@@ -15,7 +15,12 @@
 //! machine's available parallelism. Keeping it separate from
 //! `NVMM_THREADS` lets CI pin the checker while the sweep engine stays
 //! wide (and vice versa).
+//!
+//! [`env_knob`] is the one parser every `NVMM_*` environment knob goes
+//! through: unset means "use the default", and a malformed value stops
+//! the run instead of silently running with the default.
 
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -53,34 +58,41 @@ pub fn run_parallel<T: Sync, R: Send>(
         .collect()
 }
 
-fn env_threads(var: &str) -> Option<usize> {
-    std::env::var(var).ok().and_then(|v| v.parse().ok())
+/// Reads the environment knob `name` as a `T`: `None` when it is unset,
+/// the parsed value when it is well formed. A malformed value is never
+/// silently replaced by the default: the process prints
+/// `NVMM_X=<value>: expected <type>` and exits with status 2.
+pub fn env_knob<T: FromStr>(name: &str) -> Option<T> {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, raw.as_deref()).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// The pure core of [`env_knob`]: parses the raw value of knob `name`
+/// (`None` = unset), or returns the error message a malformed value
+/// earns.
+fn parse_knob<T: FromStr>(name: &str, raw: Option<&str>) -> Result<Option<T>, String> {
+    raw.map(|v| {
+        v.parse()
+            .map_err(|_| format!("{name}={v}: expected {}", std::any::type_name::<T>()))
+    })
+    .transpose()
 }
 
 /// The model checker's worker count: `NVMM_MC_THREADS` if set, else
 /// `NVMM_THREADS`, else the machine's available parallelism. Clamped to
 /// at least 1.
 pub fn mc_threads() -> usize {
-    env_threads("NVMM_MC_THREADS")
-        .or_else(|| env_threads("NVMM_THREADS"))
+    env_knob::<usize>("NVMM_MC_THREADS")
+        .or_else(|| env_knob("NVMM_THREADS"))
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
         .max(1)
-}
-
-/// The intra-run shard-worker count: `NVMM_SHARD_THREADS`, clamped to
-/// at least 1. Unlike [`mc_threads`], the default is **1** — the
-/// sequential replay path — so existing single-threaded runs are
-/// untouched unless the knob is set explicitly (or a bench pins the
-/// count via `System::with_shard_threads`). Deliberately *not* chained
-/// to `NVMM_THREADS`: sweep fan-out and intra-run workers multiply, so
-/// enabling both by default would oversubscribe the host. Results are
-/// bit-identical at any value (see `docs/ARCHITECTURE.md`).
-pub fn shard_threads() -> usize {
-    env_threads("NVMM_SHARD_THREADS").unwrap_or(1).max(1)
 }
 
 #[cfg(test)]
@@ -106,5 +118,18 @@ mod tests {
     #[test]
     fn more_threads_than_jobs_is_fine() {
         assert_eq!(run_parallel(32, &[1u64, 2], |j| *j), vec![1, 2]);
+    }
+
+    #[test]
+    fn malformed_knob_is_rejected() {
+        assert_eq!(
+            parse_knob::<usize>("NVMM_MC_THREADS", Some("four")),
+            Err("NVMM_MC_THREADS=four: expected usize".to_string())
+        );
+        assert_eq!(
+            parse_knob::<usize>("NVMM_MC_THREADS", Some("2")),
+            Ok(Some(2))
+        );
+        assert_eq!(parse_knob::<usize>("NVMM_MC_THREADS", None), Ok(None));
     }
 }

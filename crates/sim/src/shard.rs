@@ -364,43 +364,6 @@ impl ShardedController {
         }
     }
 
-    /// Detaches the shard controllers so per-shard worker threads can
-    /// own them for the duration of a parallel replay
-    /// ([`crate::system::System`] with `NVMM_SHARD_THREADS > 1`). The
-    /// remaining husk keeps the map and the compaction base; every
-    /// whole-system query panics until
-    /// [`ShardedController::restore_shards`] puts the controllers back.
-    pub(crate) fn take_shards(&mut self) -> Vec<MemoryController> {
-        assert!(
-            self.folded.iter().all(|&f| f == 0),
-            "folded cursors must be drained before detaching shards"
-        );
-        std::mem::take(&mut self.shards)
-    }
-
-    /// Reattaches the controllers detached by
-    /// [`ShardedController::take_shards`], in shard order.
-    pub(crate) fn restore_shards(&mut self, shards: Vec<MemoryController>) {
-        assert!(self.shards.is_empty(), "shards already attached");
-        assert_eq!(shards.len(), self.folded.len(), "wrong shard count");
-        self.shards = shards;
-    }
-
-    /// Folds journal records shipped back from detached shard workers
-    /// into the compaction base — the parallel-replay counterpart of
-    /// [`ShardedController::compact_through`]. The records are applied
-    /// in merged order: a stable sort by `(submitted_at, shard)` equals
-    /// the k-way merge because each worker ships its shards' records in
-    /// per-shard submission order, so equal keys (same shard, same
-    /// instant) keep their relative order.
-    pub(crate) fn fold_shipped(&mut self, mut records: Vec<JournalRecord>) {
-        records.sort_by_key(|rec| (rec.submitted_at, rec.shard));
-        for rec in &records {
-            rec.op.apply(&mut self.base);
-        }
-        self.compacted += records.len() as u64;
-    }
-
     /// Parity probe for the single-shard configuration: `Some(true)`
     /// when the merged-journal image and persist windows are identical
     /// to shard 0's pre-refactor direct paths. `None` when the check

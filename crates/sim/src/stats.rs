@@ -162,14 +162,12 @@ impl Stats {
     }
 
     /// Folds another accumulator into this one by summing every
-    /// counter and stall-time field — the deterministic merge of
-    /// per-worker statistics after a parallel shard replay. Every field
-    /// the memory controller touches is a monotone `+=` accumulator, so
-    /// summing per-worker blocks reproduces the sequential interleaving
-    /// bit for bit regardless of completion order. End-of-run fields
-    /// the replay engine *assigns* (`runtime`, `core_runtimes`,
-    /// `distinct_lines_written`, `max_line_writes`) are left untouched:
-    /// the front end sets them once, after the merge.
+    /// counter and stall-time field. Every field the memory controller
+    /// touches is a monotone `+=` accumulator, so summing blocks
+    /// gathered separately gives the same totals in any order.
+    /// End-of-run fields the replay engine *assigns* (`runtime`,
+    /// `core_runtimes`, `distinct_lines_written`, `max_line_writes`)
+    /// are left untouched.
     pub fn absorb(&mut self, other: &Stats) {
         // `stats_u64_fields!` includes the two end-of-run wear fields;
         // keep this side's values so the merge only sums accumulators.

@@ -9,34 +9,6 @@
 //! the smallest local clock, so controller resources are reserved in
 //! nondecreasing event-start order and the simulation is deterministic.
 //!
-//! # Intra-run parallel shard execution
-//!
-//! With `NVMM_SHARD_THREADS > 1` (or [`System::with_shard_threads`])
-//! the shard controllers are detached onto worker threads for the
-//! duration of the replay. The front end — scheduler, caches, trace
-//! decode — still runs exactly the sequential event order, but its
-//! controller calls become messages over bounded per-worker channels
-//! (the private `ControllerPort` seam):
-//!
-//! * demand reads block for their reply (replay decisions depend on
-//!   them),
-//! * write-backs are fire-and-forget; the ADR guarantee instants of
-//!   `clwb`/counter-writeback flushes flow back asynchronously and are
-//!   folded into a per-core running maximum that is fully resolved
-//!   before any [`TraceEvent::PersistBarrier`] consumes it,
-//! * telemetry epoch boundaries and journal compaction are
-//!   epoch-barrier sync points: every worker finishes its queued
-//!   requests and reports its statistics snapshot / queue depths /
-//!   journal prefix, which merge into exactly the sequential values.
-//!
-//! Because each shard still sees its own request subsequence in the
-//! same order with the same timestamps, and every merged quantity
-//! (statistics, journals, wear, telemetry) is a sum or an
-//! order-insensitive maximum, the results are **bit-identical** to the
-//! sequential path at any thread count — the same determinism contract
-//! `NVMM_THREADS`/`NVMM_MC_THREADS`/`NVMM_SHARDS` carry. See
-//! `docs/ARCHITECTURE.md` for the full argument.
-//!
 //! Crash injection ([`CrashSpec`]) stops replay at an event count or a
 //! wall-clock instant; the post-crash NVMM image is then exactly what ADR
 //! would leave behind (ready write-queue entries included, everything
@@ -45,7 +17,6 @@
 use crate::addr::LineAddr;
 use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
-use crate::controller::{JournalRecord, MemoryController};
 use crate::crashmc::CrashSet;
 use crate::device::WearReport;
 use crate::nvmm::NvmmImage;
@@ -55,7 +26,6 @@ use crate::telemetry::{EpochSampler, Timeline};
 use crate::time::Time;
 use crate::trace::{Trace, TraceEvent, TraceStream};
 use nvmm_crypto::LineData;
-use std::sync::mpsc;
 
 /// When (if ever) to inject a power failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,6 +92,9 @@ struct Core {
     /// Set once the core executes a `WaitUntil` arrival gate; from then
     /// on every `TxCommit` reports arrival-to-commit latency.
     open_loop: bool,
+    /// Latest ADR guarantee instant of any `clwb` or counter write-back
+    /// this core issued — what [`TraceEvent::PersistBarrier`] waits for.
+    persisted: Time,
 }
 
 impl Core {
@@ -132,6 +105,7 @@ impl Core {
             l1: SetAssocCache::new(cfg.l1.sets(), cfg.l1.ways),
             l2: SetAssocCache::new(cfg.l2.sets(), cfg.l2.ways),
             open_loop: false,
+            persisted: Time::ZERO,
         }
     }
 
@@ -140,422 +114,9 @@ impl Core {
     }
 }
 
-/// How the replay front end reaches the shard controllers. The direct
-/// implementation is today's synchronous call path; the channel
-/// implementation routes the same calls to per-shard worker threads.
-/// The front end is written once against this trait, so the two paths
-/// cannot drift: every replay decision flows through the same code.
-///
-/// The port also owns the per-core "latest ADR guarantee" maxima that
-/// [`TraceEvent::PersistBarrier`] consumes — in the parallel path the
-/// underlying guarantee instants arrive asynchronously, and the port
-/// resolves them before the barrier reads the maximum.
-trait ControllerPort {
-    /// Demand read: blocks until the owning shard answers.
-    fn read(&mut self, line: LineAddr, t: Time, stats: &mut Stats) -> (Time, LineData);
-
-    /// Write-back of a dirty line. With `guarantee_for = Some(core)`
-    /// the ADR guarantee instant is (eventually) folded into that
-    /// core's persist maximum; with `None` nobody will consume it
-    /// (cache-eviction traffic) and no reply is needed.
-    fn writeback(
-        &mut self,
-        line: LineAddr,
-        data: LineData,
-        counter_atomic: bool,
-        t: Time,
-        stats: &mut Stats,
-        guarantee_for: Option<usize>,
-    );
-
-    /// Explicit counter-cache write-back on behalf of `core`.
-    fn counter_writeback(&mut self, line: LineAddr, t: Time, stats: &mut Stats, core: usize);
-
-    /// The latest guarantee instant of every persist `core` issued,
-    /// with all in-flight guarantee replies resolved — what
-    /// `PersistBarrier` waits for.
-    fn persists_resolved(&mut self, core: usize) -> Time;
-
-    /// Opportunistically drains any pending asynchronous replies;
-    /// called once per replay step to bound reply-queue growth.
-    fn poll(&mut self) {}
-
-    /// Advances the telemetry sampler to `now`, closing any elapsed
-    /// epochs from state equivalent to the sequential interleaving.
-    fn observe(&mut self, sampler: &mut EpochSampler, now: Time, stats: &Stats);
-
-    /// Folds journal records submitted strictly before `watermark`
-    /// into the compaction base (batched-journal completion runs).
-    fn compact(&mut self, watermark: Time);
-}
-
-/// The synchronous single-threaded port: plain method calls on the
-/// [`ShardedController`] — byte-for-byte the pre-refactor execution
-/// path.
-struct DirectPort<'a> {
-    controller: &'a mut ShardedController,
-    /// Per-core running maximum of issued persist guarantees.
-    guar: Vec<Time>,
-}
-
-impl<'a> DirectPort<'a> {
-    fn new(controller: &'a mut ShardedController, cores: usize) -> Self {
-        Self {
-            controller,
-            guar: vec![Time::ZERO; cores],
-        }
-    }
-}
-
-impl ControllerPort for DirectPort<'_> {
-    fn read(&mut self, line: LineAddr, t: Time, stats: &mut Stats) -> (Time, LineData) {
-        self.controller.read(line, t, stats)
-    }
-
-    fn writeback(
-        &mut self,
-        line: LineAddr,
-        data: LineData,
-        counter_atomic: bool,
-        t: Time,
-        stats: &mut Stats,
-        guarantee_for: Option<usize>,
-    ) {
-        let guaranteed = self
-            .controller
-            .writeback(line, data, counter_atomic, t, stats);
-        if let Some(core) = guarantee_for {
-            self.guar[core] = self.guar[core].max(guaranteed);
-        }
-    }
-
-    fn counter_writeback(&mut self, line: LineAddr, t: Time, stats: &mut Stats, core: usize) {
-        let guaranteed = self.controller.counter_writeback(line, t, stats);
-        self.guar[core] = self.guar[core].max(guaranteed);
-    }
-
-    fn persists_resolved(&mut self, core: usize) -> Time {
-        self.guar[core]
-    }
-
-    fn observe(&mut self, sampler: &mut EpochSampler, now: Time, stats: &Stats) {
-        sampler.observe(now, stats, self.controller);
-    }
-
-    fn compact(&mut self, watermark: Time) {
-        self.controller.compact_through(watermark);
-    }
-}
-
-/// Bounded in-flight window per shard worker: the front end blocks on a
-/// full request channel, so a worker can fall at most this many
-/// requests behind before backpressure pauses the replay.
-const INFLIGHT_WINDOW: usize = 1024;
-
-/// A controller call routed to a shard worker thread.
-enum ShardRequest {
-    Read {
-        shard: usize,
-        line: LineAddr,
-        t: Time,
-    },
-    Writeback {
-        shard: usize,
-        line: LineAddr,
-        data: LineData,
-        counter_atomic: bool,
-        t: Time,
-        guarantee_for: Option<usize>,
-    },
-    CounterWriteback {
-        shard: usize,
-        line: LineAddr,
-        t: Time,
-        core: usize,
-    },
-    /// Epoch-barrier sync: report the cumulative statistics snapshot
-    /// and the summed write-queue depths at each boundary instant.
-    Sync { ends: Vec<Time> },
-    /// Ship back the journal prefix submitted strictly before the
-    /// watermark (parallel batched-journal compaction).
-    Compact { watermark: Time },
-}
-
-/// A shard worker's answer. Requests are processed in order over SPSC
-/// channels, so replies from one worker arrive in request order.
-enum ShardReply {
-    ReadDone {
-        t: Time,
-        data: LineData,
-    },
-    Guarantee {
-        core: usize,
-        t: Time,
-    },
-    Synced {
-        stats: Box<Stats>,
-        depths: Vec<(usize, usize)>,
-    },
-    Compacted {
-        records: Vec<JournalRecord>,
-    },
-}
-
-/// The worker loop: owns every shard controller with
-/// `shard % threads == worker`, processes requests in order against its
-/// own statistics accumulator, and hands both back when the request
-/// channel closes.
-fn shard_worker(
-    mut shards: Vec<MemoryController>,
-    rx: mpsc::Receiver<ShardRequest>,
-    tx: mpsc::Sender<ShardReply>,
-    threads: usize,
-    cores: usize,
-) -> (Vec<MemoryController>, Stats) {
-    let mut stats = Stats::new(cores);
-    while let Ok(req) = rx.recv() {
-        match req {
-            ShardRequest::Read { shard, line, t } => {
-                let (done, data) = shards[shard / threads].read(line, t, &mut stats);
-                let _ = tx.send(ShardReply::ReadDone { t: done, data });
-            }
-            ShardRequest::Writeback {
-                shard,
-                line,
-                data,
-                counter_atomic,
-                t,
-                guarantee_for,
-            } => {
-                let g =
-                    shards[shard / threads].writeback(line, data, counter_atomic, t, &mut stats);
-                if let Some(core) = guarantee_for {
-                    let _ = tx.send(ShardReply::Guarantee { core, t: g });
-                }
-            }
-            ShardRequest::CounterWriteback {
-                shard,
-                line,
-                t,
-                core,
-            } => {
-                let g = shards[shard / threads].counter_writeback(line, t, &mut stats);
-                let _ = tx.send(ShardReply::Guarantee { core, t: g });
-            }
-            ShardRequest::Sync { ends } => {
-                let depths = ends
-                    .iter()
-                    .map(|&end| {
-                        shards.iter().fold((0, 0), |(d, c), ctl| {
-                            let (dd, cc) = ctl.write_queue_depths(end);
-                            (d + dd, c + cc)
-                        })
-                    })
-                    .collect();
-                let _ = tx.send(ShardReply::Synced {
-                    stats: Box::new(stats.clone()),
-                    depths,
-                });
-            }
-            ShardRequest::Compact { watermark } => {
-                let mut records = Vec::new();
-                for ctl in &mut shards {
-                    records.append(&mut ctl.take_journal_prefix(watermark));
-                }
-                let _ = tx.send(ShardReply::Compacted { records });
-            }
-        }
-    }
-    (shards, stats)
-}
-
-/// The message-passing port: routes each controller call to the worker
-/// owning the target shard (`shard % threads`), tracks how many
-/// guarantee replies each worker still owes each core, and performs the
-/// epoch-barrier syncs that keep telemetry and compaction bit-identical
-/// to the sequential path.
-struct ChannelPort<'a> {
-    /// The detached [`ShardedController`] husk: map + compaction base.
-    controller: &'a mut ShardedController,
-    txs: Vec<mpsc::SyncSender<ShardRequest>>,
-    rxs: Vec<mpsc::Receiver<ShardReply>>,
-    /// `owed[worker][core]`: guarantee replies sent for but not yet
-    /// drained.
-    owed: Vec<Vec<u64>>,
-    /// Per-core running maximum of resolved persist guarantees.
-    guar: Vec<Time>,
-    threads: usize,
-}
-
-impl ChannelPort<'_> {
-    fn worker_of(&self, line: LineAddr) -> (usize, usize) {
-        let shard = self.controller.map().shard_of(line);
-        (shard, shard % self.threads)
-    }
-
-    /// Applies a guarantee reply; passes anything else back to the
-    /// caller that awaited it.
-    fn apply(&mut self, worker: usize, reply: ShardReply) -> Option<ShardReply> {
-        match reply {
-            ShardReply::Guarantee { core, t } => {
-                self.guar[core] = self.guar[core].max(t);
-                self.owed[worker][core] -= 1;
-                None
-            }
-            other => Some(other),
-        }
-    }
-
-    /// Blocking receive of the next payload (non-guarantee) reply from
-    /// `worker`, applying any guarantee replies queued ahead of it.
-    fn recv_payload(&mut self, worker: usize) -> ShardReply {
-        loop {
-            let reply = self.rxs[worker].recv().expect("shard worker hung up");
-            if let Some(payload) = self.apply(worker, reply) {
-                return payload;
-            }
-        }
-    }
-
-    /// Epoch-barrier sync: every worker drains its request queue, then
-    /// reports its statistics snapshot and queue depths at each
-    /// boundary. Returns the merged cumulative statistics (front end +
-    /// all workers — exactly the sequential value at this point of the
-    /// event order) and the summed depths per boundary.
-    fn sync(&mut self, front_stats: &Stats, ends: &[Time]) -> (Stats, Vec<(usize, usize)>) {
-        for tx in &self.txs {
-            tx.send(ShardRequest::Sync {
-                ends: ends.to_vec(),
-            })
-            .expect("shard worker hung up");
-        }
-        let mut merged = front_stats.clone();
-        let mut depths = vec![(0usize, 0usize); ends.len()];
-        for worker in 0..self.threads {
-            match self.recv_payload(worker) {
-                ShardReply::Synced { stats, depths: d } => {
-                    merged.absorb(&stats);
-                    for (acc, dd) in depths.iter_mut().zip(d) {
-                        acc.0 += dd.0;
-                        acc.1 += dd.1;
-                    }
-                }
-                _ => unreachable!("expected a sync reply"),
-            }
-        }
-        (merged, depths)
-    }
-}
-
-impl ControllerPort for ChannelPort<'_> {
-    fn read(&mut self, line: LineAddr, t: Time, _stats: &mut Stats) -> (Time, LineData) {
-        let (shard, worker) = self.worker_of(line);
-        self.txs[worker]
-            .send(ShardRequest::Read { shard, line, t })
-            .expect("shard worker hung up");
-        match self.recv_payload(worker) {
-            ShardReply::ReadDone { t, data } => (t, data),
-            _ => unreachable!("expected a read reply"),
-        }
-    }
-
-    fn writeback(
-        &mut self,
-        line: LineAddr,
-        data: LineData,
-        counter_atomic: bool,
-        t: Time,
-        _stats: &mut Stats,
-        guarantee_for: Option<usize>,
-    ) {
-        let (shard, worker) = self.worker_of(line);
-        if let Some(core) = guarantee_for {
-            self.owed[worker][core] += 1;
-        }
-        self.txs[worker]
-            .send(ShardRequest::Writeback {
-                shard,
-                line,
-                data,
-                counter_atomic,
-                t,
-                guarantee_for,
-            })
-            .expect("shard worker hung up");
-    }
-
-    fn counter_writeback(&mut self, line: LineAddr, t: Time, _stats: &mut Stats, core: usize) {
-        let (shard, worker) = self.worker_of(line);
-        self.owed[worker][core] += 1;
-        self.txs[worker]
-            .send(ShardRequest::CounterWriteback {
-                shard,
-                line,
-                t,
-                core,
-            })
-            .expect("shard worker hung up");
-    }
-
-    fn persists_resolved(&mut self, core: usize) -> Time {
-        for worker in 0..self.threads {
-            while self.owed[worker][core] > 0 {
-                let reply = self.rxs[worker].recv().expect("shard worker hung up");
-                if self.apply(worker, reply).is_some() {
-                    unreachable!("unsolicited payload reply while resolving persists");
-                }
-            }
-        }
-        self.guar[core]
-    }
-
-    fn poll(&mut self) {
-        for worker in 0..self.threads {
-            while let Ok(reply) = self.rxs[worker].try_recv() {
-                if self.apply(worker, reply).is_some() {
-                    unreachable!("unsolicited payload reply");
-                }
-            }
-        }
-    }
-
-    fn observe(&mut self, sampler: &mut EpochSampler, now: Time, stats: &Stats) {
-        // Fast path: between boundaries the sequential sampler observes
-        // nothing, so no sync is needed.
-        if now < sampler.next_boundary() {
-            return;
-        }
-        let ends = sampler.boundaries_through(now);
-        let (merged, depths) = self.sync(stats, &ends);
-        sampler.observe_with(now, &merged, &|t| {
-            let i = ends
-                .iter()
-                .position(|&e| e == t)
-                .expect("depths were synced for every closed boundary");
-            depths[i]
-        });
-    }
-
-    fn compact(&mut self, watermark: Time) {
-        for tx in &self.txs {
-            tx.send(ShardRequest::Compact { watermark })
-                .expect("shard worker hung up");
-        }
-        let mut shipped = Vec::new();
-        for worker in 0..self.threads {
-            match self.recv_payload(worker) {
-                ShardReply::Compacted { records } => shipped.extend(records),
-                _ => unreachable!("expected a compaction reply"),
-            }
-        }
-        self.controller.fold_shipped(shipped);
-    }
-}
-
 /// The replay front end: cores, caches, statistics, telemetry — every
-/// piece of the simulation that is *not* the controller complex. Its
-/// event loop is written once against [`ControllerPort`], so the
-/// sequential and parallel paths replay literally the same logic.
+/// piece of the simulation that is *not* the controller complex, which
+/// each step reaches through plain calls on the [`ShardedController`].
 struct FrontEnd {
     cores: Vec<Core>,
     stats: Stats,
@@ -569,12 +130,12 @@ struct FrontEnd {
 }
 
 impl FrontEnd {
-    /// Replays all traces through `port`, returning the crash instant
+    /// Replays all traces against `ctl`, returning the crash instant
     /// if one was injected.
     fn replay(
         &mut self,
         cfg: &SimConfig,
-        port: &mut impl ControllerPort,
+        ctl: &mut ShardedController,
         crash: CrashSpec,
     ) -> Option<Time> {
         let mut crash_time = None;
@@ -594,11 +155,10 @@ impl FrontEnd {
                     break;
                 }
             }
-            port.poll();
-            self.step_core(cfg, port, ci);
+            self.step_core(cfg, ctl, ci);
             self.events_processed += 1;
             if let Some(sampler) = self.sampler.as_mut() {
-                port.observe(sampler, self.cores[ci].now, &self.stats);
+                sampler.observe(self.cores[ci].now, &self.stats, ctl);
             }
             if let CrashSpec::AfterEvent(n) = crash {
                 if self.events_processed > n {
@@ -611,7 +171,7 @@ impl FrontEnd {
                     if let Some(watermark) =
                         self.cores.iter().filter(|c| !c.done()).map(|c| c.now).min()
                     {
-                        port.compact(watermark);
+                        ctl.compact_through(watermark);
                     }
                 }
             }
@@ -624,7 +184,7 @@ impl FrontEnd {
     fn fetch_line(
         &mut self,
         cfg: &SimConfig,
-        port: &mut impl ControllerPort,
+        ctl: &mut ShardedController,
         ci: usize,
         line: LineAddr,
     ) -> (Time, CachedLine) {
@@ -645,7 +205,7 @@ impl FrontEnd {
             (t, cached)
         } else {
             self.stats.l2_misses += 1;
-            let (done, data) = port.read(line, t, &mut self.stats);
+            let (done, data) = ctl.read(line, t, &mut self.stats);
             let cached = CachedLine {
                 data,
                 counter_atomic: false,
@@ -654,13 +214,12 @@ impl FrontEnd {
             let core = &mut self.cores[ci];
             if let Some(ev) = core.l2.insert(line, cached, false) {
                 if ev.dirty {
-                    port.writeback(
+                    ctl.writeback(
                         ev.key,
                         ev.value.data,
                         ev.value.counter_atomic,
                         done,
                         &mut self.stats,
-                        None,
                     );
                 }
             }
@@ -673,13 +232,12 @@ impl FrontEnd {
             if ev1.dirty {
                 if let Some(ev2) = core.l2.insert(ev1.key, ev1.value, true) {
                     if ev2.dirty {
-                        port.writeback(
+                        ctl.writeback(
                             ev2.key,
                             ev2.value.data,
                             ev2.value.counter_atomic,
                             t_fill,
                             &mut self.stats,
-                            None,
                         );
                     }
                 }
@@ -688,7 +246,7 @@ impl FrontEnd {
         (t_fill, payload)
     }
 
-    fn step_core(&mut self, cfg: &SimConfig, port: &mut impl ControllerPort, ci: usize) {
+    fn step_core(&mut self, cfg: &SimConfig, ctl: &mut ShardedController, ci: usize) {
         let ev = self.cores[ci]
             .source
             .pull()
@@ -698,7 +256,7 @@ impl FrontEnd {
                 self.cores[ci].now += duration;
             }
             TraceEvent::Read { line } => {
-                let (done, _) = self.fetch_line(cfg, port, ci, line);
+                let (done, _) = self.fetch_line(cfg, ctl, ci, line);
                 self.cores[ci].now = done;
             }
             TraceEvent::Write {
@@ -711,7 +269,7 @@ impl FrontEnd {
                 let done = if in_l1 {
                     self.cores[ci].now + cfg.l1.latency
                 } else {
-                    self.fetch_line(cfg, port, ci, line).0
+                    self.fetch_line(cfg, ctl, ci, line).0
                 };
                 let core = &mut self.cores[ci];
                 let cached = CachedLine {
@@ -725,13 +283,12 @@ impl FrontEnd {
                     if ev1.dirty {
                         if let Some(ev2) = core.l2.insert(ev1.key, ev1.value, true) {
                             if ev2.dirty {
-                                port.writeback(
+                                ctl.writeback(
                                     ev2.key,
                                     ev2.value.data,
                                     ev2.value.counter_atomic,
                                     done,
                                     &mut self.stats,
-                                    None,
                                 );
                             }
                         }
@@ -758,29 +315,31 @@ impl FrontEnd {
                     if dirty {
                         core.l1.clean(&line);
                         core.l2.clean(&line);
-                        port.writeback(
+                        let guaranteed = ctl.writeback(
                             line,
                             cached.data,
                             cached.counter_atomic,
                             issue + cfg.controller_overhead,
                             &mut self.stats,
-                            Some(ci),
                         );
+                        core.persisted = core.persisted.max(guaranteed);
                     }
                 }
                 self.cores[ci].now = issue;
             }
             TraceEvent::CounterCacheWriteback { line } => {
                 let issue = self.cores[ci].now + cfg.l1.latency;
-                port.counter_writeback(line, issue + cfg.controller_overhead, &mut self.stats, ci);
-                self.cores[ci].now = issue;
+                let guaranteed =
+                    ctl.counter_writeback(line, issue + cfg.controller_overhead, &mut self.stats);
+                let core = &mut self.cores[ci];
+                core.persisted = core.persisted.max(guaranteed);
+                core.now = issue;
             }
             TraceEvent::PersistBarrier => {
-                let guaranteed = port.persists_resolved(ci);
                 let core = &mut self.cores[ci];
-                if guaranteed > core.now {
-                    self.stats.barrier_stall += guaranteed - core.now;
-                    core.now = guaranteed;
+                if core.persisted > core.now {
+                    self.stats.barrier_stall += core.persisted - core.now;
+                    core.now = core.persisted;
                 }
             }
             TraceEvent::TxCommit { id } => {
@@ -809,9 +368,6 @@ pub struct System {
     cfg: SimConfig,
     front: FrontEnd,
     controller: ShardedController,
-    /// Host worker threads for intra-run shard execution (1 = the
-    /// sequential path). Results are bit-identical at any value.
-    shard_threads: usize,
 }
 
 impl System {
@@ -828,11 +384,6 @@ impl System {
     /// Builds a system pulling events from one [`TraceStream`] per core
     /// — the service-scale ingest path: generator-backed streams replay
     /// 10^7+ operations without ever materializing them.
-    ///
-    /// The intra-run shard worker count defaults to the
-    /// `NVMM_SHARD_THREADS` environment knob
-    /// ([`crate::parallel::shard_threads`], default 1 = sequential);
-    /// [`System::with_shard_threads`] pins it programmatically.
     ///
     /// # Panics
     ///
@@ -859,7 +410,6 @@ impl System {
                 journal_batch: None,
             },
             controller,
-            shard_threads: crate::parallel::shard_threads(),
             cfg: config,
         }
     }
@@ -875,21 +425,6 @@ impl System {
     pub fn with_journal_batch(mut self, events: u64) -> Self {
         assert!(events > 0, "journal batch must be positive");
         self.front.journal_batch = Some(events);
-        self
-    }
-
-    /// Pins the intra-run shard worker count, overriding the
-    /// `NVMM_SHARD_THREADS` environment default. The effective count is
-    /// clamped to the shard count; 1 selects the sequential path.
-    /// Results are bit-identical at any value — `fig_scale` sweeps this
-    /// knob and asserts exactly that.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn with_shard_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "shard worker count must be at least 1");
-        self.shard_threads = threads;
         self
     }
 
@@ -920,13 +455,7 @@ impl System {
             self.front.journal_batch.is_none() || crash == CrashSpec::None,
             "journal batching is completion-only: crash analysis needs the full journal"
         );
-        let threads = self.shard_threads.min(self.controller.shards());
-        let crash_time = if threads <= 1 {
-            let mut port = DirectPort::new(&mut self.controller, self.cfg.cores);
-            self.front.replay(&self.cfg, &mut port, crash)
-        } else {
-            self.run_parallel(threads, crash)
-        };
+        let crash_time = self.front.replay(&self.cfg, &mut self.controller, crash);
 
         let front = &mut self.front;
         for (i, core) in front.cores.iter().enumerate() {
@@ -962,67 +491,6 @@ impl System {
             wear,
         };
         (outcome, self.controller)
-    }
-
-    /// The parallel replay path: detaches the shard controllers onto
-    /// `threads` scoped workers, replays the identical front-end event
-    /// loop through a [`ChannelPort`], then reattaches the controllers
-    /// and merges the per-worker statistics — deterministically, in
-    /// shard order.
-    fn run_parallel(&mut self, threads: usize, crash: CrashSpec) -> Option<Time> {
-        let cores = self.cfg.cores;
-        let taken = self.controller.take_shards();
-        let shard_count = taken.len();
-        // Round-robin ownership: worker w owns shards s with
-        // s % threads == w, at local index s / threads.
-        let mut per_worker: Vec<Vec<MemoryController>> = (0..threads).map(|_| Vec::new()).collect();
-        for (s, ctl) in taken.into_iter().enumerate() {
-            per_worker[s % threads].push(ctl);
-        }
-        let (crash_time, results) = std::thread::scope(|scope| {
-            let mut txs = Vec::with_capacity(threads);
-            let mut rxs = Vec::with_capacity(threads);
-            let mut handles = Vec::with_capacity(threads);
-            for ctls in per_worker {
-                let (req_tx, req_rx) = mpsc::sync_channel::<ShardRequest>(INFLIGHT_WINDOW);
-                let (rep_tx, rep_rx) = mpsc::channel::<ShardReply>();
-                handles
-                    .push(scope.spawn(move || shard_worker(ctls, req_rx, rep_tx, threads, cores)));
-                txs.push(req_tx);
-                rxs.push(rep_rx);
-            }
-            let mut port = ChannelPort {
-                controller: &mut self.controller,
-                txs,
-                rxs,
-                owed: vec![vec![0; cores]; threads],
-                guar: vec![Time::ZERO; cores],
-                threads,
-            };
-            let crash_time = self.front.replay(&self.cfg, &mut port, crash);
-            // Dropping the port closes the request channels; workers
-            // finish their remaining queue and hand everything back.
-            drop(port);
-            let results: Vec<(Vec<MemoryController>, Stats)> = handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect();
-            (crash_time, results)
-        });
-        let mut slots: Vec<Option<MemoryController>> = (0..shard_count).map(|_| None).collect();
-        for (w, (ctls, worker_stats)) in results.into_iter().enumerate() {
-            self.front.stats.absorb(&worker_stats);
-            for (k, ctl) in ctls.into_iter().enumerate() {
-                slots[w + k * threads] = Some(ctl);
-            }
-        }
-        self.controller.restore_shards(
-            slots
-                .into_iter()
-                .map(|c| c.expect("every shard is returned by exactly one worker"))
-                .collect(),
-        );
-        crash_time
     }
 }
 
@@ -1210,139 +678,5 @@ mod tests {
             out.stats.nvmm_data_writes > 0,
             "cache pressure must cause write-backs"
         );
-    }
-
-    /// A trace that exercises every parallel-relevant event kind:
-    /// reads (blocking round trips), writes with eviction pressure
-    /// (fire-and-forget write-backs), clwb/ccwb (asynchronous
-    /// guarantees), barriers (resolution points), compute gaps and
-    /// commits.
-    fn busy_mixed_trace(seed: u64, lines: u64) -> Trace {
-        let mut t = Trace::new();
-        for i in 0..lines {
-            let line = (seed + i * 37) % 512;
-            t.push(write_ev(line, (i % 251) as u8, i % 2 == 0));
-            t.push(TraceEvent::Clwb {
-                line: LineAddr(line),
-            });
-            if i % 3 == 0 {
-                t.push(TraceEvent::Read {
-                    line: LineAddr((line + 63) % 512),
-                });
-            }
-            if i % 4 == 0 {
-                t.push(TraceEvent::CounterCacheWriteback {
-                    line: LineAddr(line),
-                });
-            }
-            if i % 5 == 4 {
-                t.push(TraceEvent::PersistBarrier);
-                t.push(TraceEvent::TxCommit { id: i });
-            }
-            if i % 7 == 0 {
-                t.push(TraceEvent::Compute {
-                    duration: Time::from_ns(35),
-                });
-            }
-        }
-        t.push(TraceEvent::PersistBarrier);
-        t
-    }
-
-    fn outcome_fingerprint(out: &RunOutcome) -> (Stats, u128, Vec<(Time, Time)>, u64) {
-        (
-            out.stats.clone(),
-            out.image.fingerprint(),
-            out.persist_windows.clone(),
-            out.events_processed,
-        )
-    }
-
-    /// The tentpole contract: parallel shard execution is bit-identical
-    /// to sequential execution — stats, image, persist windows,
-    /// telemetry, wear — at every thread count, including more threads
-    /// than shards.
-    #[test]
-    fn parallel_shard_execution_matches_sequential() {
-        for design in [Design::Sca, Design::Fca] {
-            let cfg = SimConfig::table2(design, 2)
-                .with_shards(4)
-                .with_telemetry_epoch(Time::from_ns(400));
-            let traces = vec![busy_mixed_trace(3, 60), busy_mixed_trace(11, 60)];
-            let base = System::new(cfg.clone(), traces.clone())
-                .with_shard_threads(1)
-                .run(CrashSpec::None);
-            for threads in [2, 3, 4, 8] {
-                let par = System::new(cfg.clone(), traces.clone())
-                    .with_shard_threads(threads)
-                    .run(CrashSpec::None);
-                assert_eq!(
-                    outcome_fingerprint(&par),
-                    outcome_fingerprint(&base),
-                    "{design:?} threads={threads} diverged from sequential"
-                );
-                assert_eq!(par.timeline, base.timeline, "{design:?} threads={threads}");
-                assert_eq!(par.wear, base.wear, "{design:?} threads={threads}");
-                assert_eq!(par.latency, base.latency, "{design:?} threads={threads}");
-            }
-        }
-    }
-
-    /// Crash injection under parallel execution: the same crash spec
-    /// yields the same crash time, image and crash set as sequential.
-    #[test]
-    fn parallel_crash_runs_match_sequential() {
-        let cfg = SimConfig::table2(Design::Sca, 2).with_shards(4);
-        let traces = vec![busy_mixed_trace(5, 40), busy_mixed_trace(17, 40)];
-        for crash in [
-            CrashSpec::AfterEvent(33),
-            CrashSpec::AtTime(Time::from_ns(900)),
-        ] {
-            let base = System::new(cfg.clone(), traces.clone())
-                .with_shard_threads(1)
-                .run(crash);
-            let par = System::new(cfg.clone(), traces.clone())
-                .with_shard_threads(4)
-                .run(crash);
-            assert_eq!(par.crash_time, base.crash_time);
-            assert_eq!(par.image.fingerprint(), base.image.fingerprint());
-            assert_eq!(par.stats, base.stats);
-            assert_eq!(
-                par.crash_set.is_some(),
-                base.crash_set.is_some(),
-                "crash analysis must survive the parallel path"
-            );
-        }
-    }
-
-    /// Batched-journal compaction under parallel execution: workers
-    /// ship journal prefixes back to the front end, and the folded
-    /// completion image equals both the parallel-unbatched and the
-    /// sequential-batched runs.
-    #[test]
-    fn parallel_compaction_matches_sequential() {
-        let cfg = SimConfig::table2(Design::Sca, 2).with_shards(3);
-        let traces = vec![busy_mixed_trace(7, 50), busy_mixed_trace(23, 50)];
-        let seq = System::new(cfg.clone(), traces.clone())
-            .with_shard_threads(1)
-            .with_journal_batch(16)
-            .run(CrashSpec::None);
-        let par = System::new(cfg.clone(), traces.clone())
-            .with_shard_threads(3)
-            .with_journal_batch(16)
-            .run(CrashSpec::None);
-        let unbatched = System::new(cfg, traces)
-            .with_shard_threads(3)
-            .run(CrashSpec::None);
-        assert_eq!(par.image.fingerprint(), seq.image.fingerprint());
-        assert_eq!(par.stats, seq.stats);
-        assert_eq!(par.image.fingerprint(), unbatched.image.fingerprint());
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_shard_threads_rejected() {
-        let _ = System::new(SimConfig::single_core(Design::Sca), vec![basic_trace()])
-            .with_shard_threads(0);
     }
 }

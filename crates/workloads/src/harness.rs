@@ -261,45 +261,29 @@ pub fn check_image_with(
     integrity: IntegritySpec,
     recovery_window: u64,
 ) -> Result<CrashCheckOutcome, ConsistencyError> {
-    check_image_inner(
-        spec,
-        ex,
-        image,
-        None,
-        engine,
-        mac_engine,
-        design,
-        integrity,
-        recovery_window,
-    )
+    let oracle = nvmm_sim::verify_image_with(image, integrity, engine, mac_engine);
+    check_image_inner(spec, ex, image, &oracle, engine, design, recovery_window)
 }
 
-/// The shared body of [`check_image_with`]: when the model checker's
-/// delta-verified walk already judged the image with a warm
-/// [`nvmm_sim::DeltaVerifier`], its verdict arrives as `precomputed`
-/// and the full-pass oracle is skipped — the verdict (and so the
-/// wrapped error string) is bit-identical by the differential suite's
-/// guarantee, so reports cannot depend on which path ran.
-#[allow(clippy::too_many_arguments)]
+/// The shared body of [`check_image_with`] and the model checker,
+/// given the integrity `oracle`'s verdict on `image`: the full-pass
+/// verifier's for [`check_image_with`], the fused walk's warm
+/// [`nvmm_sim::DeltaVerifier`]'s for the model checker — bit-identical
+/// by the differential suite's guarantee, so the wrapped error string
+/// cannot depend on which one judged the image.
 fn check_image_inner(
     spec: &WorkloadSpec,
     ex: &Executed,
     image: &nvmm_sim::NvmmImage,
-    precomputed: Option<&Result<(), String>>,
+    oracle: &Result<(), String>,
     engine: &EncryptionEngine,
-    mac_engine: &MacEngine,
     design: Design,
-    integrity: IntegritySpec,
     recovery_window: u64,
 ) -> Result<CrashCheckOutcome, ConsistencyError> {
     // Integrity oracle first: before recovery touches anything, every
     // cleanly-decrypting line must authenticate against its persisted
     // MAC, and (under strict) every persisted tree node against its
     // persisted children.
-    let oracle = match precomputed {
-        Some(v) => v.clone(),
-        None => nvmm_sim::verify_image_with(image, integrity, engine, mac_engine),
-    };
     if let Err(err) = oracle {
         ensure!(
             false,
@@ -394,13 +378,6 @@ pub struct ModelCheckOpts {
     /// simulation — the positive-control bug: an SCA program that
     /// forgets the flush must yield at least one violating image.
     pub strip_counter_writebacks: bool,
-    /// Run the integrity oracle through the fused delta-verified walk
-    /// ([`nvmm_sim::CrashSet::enumerate_verified`]) instead of
-    /// re-verifying each enumerated image from scratch. Verdicts are
-    /// bit-identical either way (the differential suite pins this);
-    /// the switch — and the `NVMM_MC_DELTA=0` environment escape hatch
-    /// it is ANDed with — exists to measure and to fall back.
-    pub delta_verify: bool,
 }
 
 impl Default for ModelCheckOpts {
@@ -410,7 +387,6 @@ impl Default for ModelCheckOpts {
             seed: 0xadc0_ffee,
             recovery_window: 0,
             strip_counter_writebacks: false,
-            delta_verify: true,
         }
     }
 }
@@ -527,15 +503,14 @@ pub struct ModelCheckReport {
     /// deliberately ignored by `PartialEq`, so determinism assertions
     /// comparing two reports still hold.
     pub mc_wall_ns: u64,
-    /// Wall-clock nanoseconds of the enumeration phase (the schedule
-    /// walk, net of the fused walk's self-reported oracle share when
-    /// [`ModelCheckOpts::delta_verify`] is on). Telemetry only, ignored
-    /// by `PartialEq` like [`ModelCheckReport::mc_wall_ns`].
+    /// Wall-clock nanoseconds of the enumeration phase: the fused
+    /// walk's schedule walk, net of its self-reported oracle share.
+    /// Telemetry only, ignored by `PartialEq` like
+    /// [`ModelCheckReport::mc_wall_ns`].
     pub enumerate_wall_ns: u64,
     /// Nanoseconds of the verification phase: recovery protocol replay
-    /// plus the integrity oracle — the fused walk's measured verify
-    /// share when the delta walk is on, the full-pass re-verification
-    /// otherwise. Telemetry only, ignored by `PartialEq`.
+    /// plus the fused walk's measured integrity-oracle share. Telemetry
+    /// only, ignored by `PartialEq`.
     pub verify_wall_ns: u64,
 }
 
@@ -717,20 +692,11 @@ fn check_crash_set_threads(
     let engine = EncryptionEngine::new(key);
     let mac_engine = MacEngine::new(key);
     // The fused delta-verified walk re-judges each image from what its
-    // schedule step dirtied; `NVMM_MC_DELTA=0` (or the opts switch)
-    // falls back to full-pass verification per image. Verdicts are
-    // bit-identical either way.
-    let delta = opts.delta_verify && std::env::var("NVMM_MC_DELTA").as_deref() != Ok("0");
-    let (en, oracle_verdicts, fused_verify_ns) = if delta {
-        let (en, v, vns) =
-            set.enumerate_verified_timed(eopts, threads, integrity, &engine, &mac_engine);
-        (en, Some(v), vns)
-    } else {
-        (set.enumerate_parallel(eopts, threads), None, 0)
-    };
+    // schedule step dirtied.
+    let (en, oracle_verdicts, fused_verify_ns) =
+        set.enumerate_verified_timed(eopts, threads, integrity, &engine, &mac_engine);
     // The fused walk interleaves oracle work with enumeration; its
-    // self-reported verify share moves to the verify bucket so the
-    // split means the same thing on both paths.
+    // self-reported verify share moves to the verify bucket.
     let enumerate_wall_ns = (started.elapsed().as_nanos() as u64).saturating_sub(fused_verify_ns);
     let verify_started = Instant::now();
     let jobs: Vec<usize> = (0..en.images.len()).collect();
@@ -739,11 +705,9 @@ fn check_crash_set_threads(
             spec,
             ex,
             &en.images[i].1,
-            oracle_verdicts.as_ref().map(|v| &v[i]),
+            &oracle_verdicts[i],
             &engine,
-            &mac_engine,
             design,
-            integrity,
             opts.recovery_window,
         )
     });

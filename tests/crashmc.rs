@@ -340,12 +340,12 @@ fn completed_run_has_single_clean_image() {
     assert_eq!(rep.stats.groups, 0);
 }
 
-/// Differential acceptance for the incremental rewrite: across all five
-/// workloads, at every harvested in-flight instant, the incremental
-/// copy-on-write enumeration (sequential and multi-threaded) must
-/// produce the same stats, landing masks, fingerprints, and per-image
-/// recovery verdicts as the retained eager rebuild-per-mask path —
-/// with the warm shared engines agreeing with per-image fresh engines.
+/// Differential acceptance for the fused walk: across all five
+/// workloads, at every harvested in-flight instant, the fused
+/// delta-verified enumeration (sequential and multi-threaded) must
+/// produce the same stats, landing masks and fingerprints as the
+/// retained eager rebuild-per-mask path — with the warm shared engines
+/// agreeing with per-image fresh engines on every recovery verdict.
 #[test]
 fn incremental_enumeration_matches_eager_on_all_workloads() {
     use nvmm::crypto::mac::MacEngine;
@@ -380,25 +380,29 @@ fn incremental_enumeration_matches_eager_on_all_workloads() {
             };
             let eager = set.enumerate_eager(eopts);
             for threads in [1, 4] {
-                let inc = set.enumerate_parallel(eopts, threads);
-                assert_eq!(eager.stats, inc.stats, "{kind} at {t} ({threads} threads)");
+                let (fused, _) =
+                    set.enumerate_verified(eopts, threads, integrity, &engine, &mac_engine);
                 assert_eq!(
-                    eager.images.len(),
-                    inc.images.len(),
+                    eager.stats, fused.stats,
                     "{kind} at {t} ({threads} threads)"
                 );
-                for (i, ((em, ei), (im, ii))) in
-                    eager.images.iter().zip(inc.images.iter()).enumerate()
+                assert_eq!(
+                    eager.images.len(),
+                    fused.images.len(),
+                    "{kind} at {t} ({threads} threads)"
+                );
+                for (i, ((em, ei), (fm, fi))) in
+                    eager.images.iter().zip(fused.images.iter()).enumerate()
                 {
-                    assert_eq!(em.landed(), im.landed(), "{kind} at {t} image {i}: mask");
+                    assert_eq!(em.landed(), fm.landed(), "{kind} at {t} image {i}: mask");
                     assert_eq!(
                         ei.fingerprint(),
-                        ii.fingerprint(),
+                        fi.fingerprint(),
                         "{kind} at {t} image {i}: fingerprint"
                     );
                     assert_eq!(
-                        ii.fingerprint(),
-                        ii.fingerprint_recompute(),
+                        fi.fingerprint(),
+                        fi.fingerprint_recompute(),
                         "{kind} at {t} image {i}: incremental fingerprint drifted"
                     );
                 }
@@ -424,50 +428,107 @@ fn incremental_enumeration_matches_eager_on_all_workloads() {
 }
 
 /// The fused delta-verified walk, reached through the public harness,
-/// must be observationally identical to full-pass verification: same
-/// report (violations, stats, minimized witness) for every workload and
-/// policy — including on a violating configuration, where the blamed
-/// witness must match too. The worker-count dimension comes from the CI
-/// matrix, which runs this suite under `NVMM_MC_THREADS=1` and `=4`.
+/// must be observationally identical to full-pass verification of the
+/// eager oracle's images: same enumeration stats, image count,
+/// violation count and baseline verdict for every workload and policy
+/// — and on a violating configuration the minimized witness's image
+/// must fail full-pass checking with exactly the reported error. The
+/// worker-count dimension comes from the CI matrix, which runs this
+/// suite under `NVMM_MC_THREADS=1` and `=4`.
 #[test]
 fn delta_verified_harness_matches_full_pass() {
+    use nvmm::crypto::mac::MacEngine;
+    use nvmm::crypto::EncryptionEngine;
+    use nvmm::sim::integrity::IntegritySpec;
+    use nvmm::sim::system::System;
+    use nvmm::sim::trace::{Trace, TraceEvent};
+    use nvmm::sim::{EnumOpts, LandMask, NvmmImage};
+    use nvmm::workloads::{check_crash_set, check_image_with};
+
+    let mut saw_violation = false;
     for kind in [WorkloadKind::Queue, WorkloadKind::BTree] {
         let spec = WorkloadSpec::smoke(kind).with_ops(4);
+        let ex = execute(&spec, 0, spec.ops);
         for policy in [
             IntegrityPolicy::Strict,
             IntegrityPolicy::Phoenix,
             IntegrityPolicy::Colocated,
         ] {
             let cfg = SimConfig::single_core(Design::Sca).with_integrity(policy);
+            let integrity = IntegritySpec::from_config(&cfg);
+            let engine = EncryptionEngine::new(cfg.key);
+            let mac_engine = MacEngine::new(cfg.key);
             for strip in [false, true] {
-                let delta_opts = ModelCheckOpts {
+                let o = ModelCheckOpts {
                     strip_counter_writebacks: strip,
                     ..opts(16)
                 };
-                let full_opts = ModelCheckOpts {
-                    delta_verify: false,
-                    ..delta_opts
+                let eopts = EnumOpts {
+                    max_images: o.max_images,
+                    seed: o.seed,
                 };
-                assert!(delta_opts.delta_verify, "delta walk must be the default");
-                let instants = crash_instants_cfg(&spec, cfg.clone(), &delta_opts, 3);
-                for &t in &instants {
-                    let full =
-                        model_check_cfg(&spec, cfg.clone(), CrashSpec::AtTime(t), &full_opts);
-                    let delta =
-                        model_check_cfg(&spec, cfg.clone(), CrashSpec::AtTime(t), &delta_opts);
+                let trace: Trace = ex
+                    .pm
+                    .trace()
+                    .events()
+                    .iter()
+                    .filter(|e| !(strip && matches!(e, TraceEvent::CounterCacheWriteback { .. })))
+                    .cloned()
+                    .collect();
+                let full_check = |img: &NvmmImage| {
+                    check_image_with(
+                        &spec,
+                        &ex,
+                        img,
+                        &engine,
+                        &mac_engine,
+                        Design::Sca,
+                        integrity,
+                        o.recovery_window,
+                    )
+                };
+                for &t in &crash_instants_cfg(&spec, cfg.clone(), &o, 3) {
+                    let Some(set) = System::new(cfg.clone(), vec![trace.clone()])
+                        .run(CrashSpec::AtTime(t))
+                        .crash_set
+                    else {
+                        continue;
+                    };
+                    let what = format!("{kind}/{policy:?} strip={strip} at {t}");
+                    let rep =
+                        check_crash_set(&spec, &ex, &set, cfg.key, Design::Sca, integrity, &o);
+                    let eager = set.enumerate_eager(eopts);
+                    let failed: Vec<bool> = eager
+                        .images
+                        .iter()
+                        .map(|(_, img)| full_check(img).is_err())
+                        .collect();
+                    assert_eq!(rep.stats, eager.stats, "{what}: stats diverge");
+                    assert_eq!(rep.images_checked, eager.images.len(), "{what}");
                     assert_eq!(
-                        full, delta,
-                        "{kind}/{policy:?} strip={strip} at {t}: delta and full-pass \
-                         harness reports diverge"
+                        rep.violations,
+                        failed.iter().filter(|&&f| f).count(),
+                        "{what}: violation counts diverge"
                     );
-                    assert_eq!(
-                        full.minimal, delta.minimal,
-                        "{kind}/{policy:?} strip={strip} at {t}: witnesses diverge"
-                    );
+                    assert_eq!(rep.baseline_violation, failed[0], "{what}: baseline");
+                    assert_eq!(rep.minimal.is_some(), rep.violations > 0, "{what}");
+                    if let Some(minimal) = &rep.minimal {
+                        saw_violation = true;
+                        let mut mask = LandMask::zeros(set.group_count());
+                        for &g in &minimal.landed {
+                            mask.set(g, true);
+                        }
+                        assert_eq!(
+                            full_check(&set.image(&mask)),
+                            Err(minimal.error.clone()),
+                            "{what}: the witness image must fail with the reported error"
+                        );
+                    }
                 }
             }
         }
     }
+    assert!(saw_violation, "the stripped runs never produced a witness");
 }
 
 /// The parallel-over-instants driver returns, in instant order, exactly

@@ -14,9 +14,13 @@
 //!    proves FCA/SCA clean over every ADR-legal image of a sharded
 //!    run, and still *catches* an injected counter-writeback bug —
 //!    the merged per-shard journal hides nothing from `crashmc`.
+//!
+//! Alongside, sharded replays fanned out over the shared worker pool
+//! must match the same replays run one after another.
 
 use nvmm::sim::addr::{LineAddr, ShardMap};
 use nvmm::sim::config::{Design, IntegrityPolicy, SimConfig};
+use nvmm::sim::parallel::run_parallel;
 use nvmm::sim::system::{CrashSpec, RunOutcome, System};
 use nvmm::sim::Time;
 use nvmm::workloads::{
@@ -249,9 +253,9 @@ fn sharded_checker_still_catches_missing_counter_writebacks() {
 }
 
 /// Field-by-field comparison of two run outcomes — everything a
-/// `RunOutcome` reports, including the timeline (whose epoch deltas are
-/// merged across shard workers at epoch barriers), the wear report
-/// (merged per-shard write counts), and the latency histogram.
+/// `RunOutcome` reports, including the timeline, the wear report
+/// (merged per-shard write counts), the latency histogram and the
+/// size of the crash set a crashing run leaves behind.
 fn assert_outcomes_identical(a: &RunOutcome, b: &RunOutcome, what: &str) {
     assert_eq!(a.stats, b.stats, "{what}: stats diverged");
     assert_eq!(
@@ -260,6 +264,11 @@ fn assert_outcomes_identical(a: &RunOutcome, b: &RunOutcome, what: &str) {
         "{what}: NVMM image diverged"
     );
     assert_eq!(a.crash_time, b.crash_time, "{what}: crash time diverged");
+    assert_eq!(
+        a.crash_set.as_ref().map(|s| s.group_count()),
+        b.crash_set.as_ref().map(|s| s.group_count()),
+        "{what}: crash set diverged"
+    );
     assert_eq!(
         a.persist_windows, b.persist_windows,
         "{what}: persist windows (merged journal order) diverged"
@@ -273,15 +282,53 @@ fn assert_outcomes_identical(a: &RunOutcome, b: &RunOutcome, what: &str) {
     assert_eq!(a.wear, b.wear, "{what}: wear report diverged");
 }
 
+/// Replays one sharded configuration several times — twice to
+/// completion and at two crash instants — fanned out over `threads`
+/// workers of the shared `run_parallel` pool, the way the sweep engine
+/// runs simulation cells. Returns each outcome with its single-shard
+/// parity verdict, in job order.
+fn replay_fanned_out(
+    cfg: &SimConfig,
+    traces: &[nvmm::sim::trace::Trace],
+    threads: usize,
+) -> Vec<(RunOutcome, Option<bool>)> {
+    let crashes = [
+        CrashSpec::None,
+        CrashSpec::None,
+        CrashSpec::AtTime(Time::from_ns(600)),
+        CrashSpec::AtTime(Time::from_ns(1500)),
+    ];
+    run_parallel(threads, &crashes, |&crash| {
+        System::new(cfg.clone(), traces.to_vec()).run_with_parity_check(crash)
+    })
+}
+
+/// Checks a fanned-out replay against the sequential one job by job,
+/// and the two identical completion jobs against each other: a sharded
+/// replay carries no state across runs or threads.
+fn assert_fanned_out_replay_deterministic(cfg: &SimConfig, traces: &[nvmm::sim::trace::Trace]) {
+    let base = replay_fanned_out(cfg, traces, 1);
+    let par = replay_fanned_out(cfg, traces, 4);
+    for (i, ((b, b_parity), (p, p_parity))) in base.iter().zip(&par).enumerate() {
+        assert_eq!(p_parity, b_parity, "job {i}: parity probe diverged");
+        assert_outcomes_identical(p, b, &format!("job {i} threads=4 vs threads=1"));
+    }
+    assert_outcomes_identical(&base[0].0, &base[1].0, "repeated completion run");
+    assert!(
+        base[2].0.crash_set.is_some(),
+        "the 600 ns job must crash mid-run"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Cross-thread determinism, fuzzed: for random seeds, workloads
-    /// and integrity policies, a 4-worker parallel replay produces a
-    /// `RunOutcome` identical to the sequential path — stats, image,
-    /// persist windows (the merged journal's in-flight order),
-    /// telemetry, wear, latency — along with the same single-shard
-    /// parity verdict.
+    /// Cross-run determinism, fuzzed: for random seeds, workloads and
+    /// integrity policies, 4-shard replays run concurrently on 4 pool
+    /// workers produce `RunOutcome`s identical to the same replays run
+    /// one after another — stats, image, crash set, persist windows
+    /// (the merged journal's in-flight order), telemetry, wear,
+    /// latency — along with the same single-shard parity verdict.
     #[test]
     fn parallel_replay_is_deterministic(
         seed in 0u64..1_000_000,
@@ -297,22 +344,14 @@ proptest! {
             .with_shards(4)
             .with_integrity(IntegrityPolicy::ALL[policy_ix]);
         cfg.telemetry_epoch = Some(Time::from_ns(700));
-        let traces = traces_for_cores(&spec, cores);
-        let (base, base_parity) = System::new(cfg.clone(), traces.clone())
-            .with_shard_threads(1)
-            .run_with_parity_check(CrashSpec::None);
-        let (par, par_parity) = System::new(cfg, traces)
-            .with_shard_threads(4)
-            .run_with_parity_check(CrashSpec::None);
-        prop_assert_eq!(par_parity, base_parity, "parity probe diverged");
-        assert_outcomes_identical(&par, &base, "threads=4 vs threads=1");
+        assert_fanned_out_replay_deterministic(&cfg, &traces_for_cores(&spec, cores));
     }
 }
 
-/// Cross-thread determinism over every integrity policy, pinned (the
-/// fuzz above samples; this leaves no policy to chance): each of the
-/// six non-trivial policies — and the no-integrity baseline — replays
-/// bit-identically with 4 shard workers.
+/// Cross-run determinism over every integrity policy, pinned (the fuzz
+/// above samples; this leaves no policy to chance): each of the six
+/// non-trivial policies — and the no-integrity baseline — replays
+/// bit-identically on 4 pool workers.
 #[test]
 fn parallel_replay_deterministic_across_all_integrity_policies() {
     let cores = 2;
@@ -323,14 +362,7 @@ fn parallel_replay_deterministic_across_all_integrity_policies() {
             .with_shards(4)
             .with_integrity(policy);
         cfg.telemetry_epoch = Some(Time::from_ns(600));
-        let (base, base_parity) = System::new(cfg.clone(), traces.clone())
-            .with_shard_threads(1)
-            .run_with_parity_check(CrashSpec::None);
-        let (par, par_parity) = System::new(cfg, traces.clone())
-            .with_shard_threads(4)
-            .run_with_parity_check(CrashSpec::None);
-        assert_eq!(par_parity, base_parity, "{policy:?}: parity probe diverged");
-        assert_outcomes_identical(&par, &base, &format!("{policy:?} threads=4 vs 1"));
+        assert_fanned_out_replay_deterministic(&cfg, &traces);
     }
 }
 

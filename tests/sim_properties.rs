@@ -219,7 +219,7 @@ proptest! {
             latest.insert(line, i as u8);
         }
         let set = c.crash_set(Time::from_ns(crash_ns));
-        let en = set.enumerate(EnumOpts { max_images: 32, ..EnumOpts::default() });
+        let en = set.enumerate_eager(EnumOpts { max_images: 32, ..EnumOpts::default() });
         for (mask, img) in &en.images {
             prop_assert!(set.is_legal(mask));
             for &line in latest.keys() {
