@@ -208,14 +208,17 @@ pub fn recover_undo_log(mem: &mut RecoveredMemory, log: &UndoLog) -> RecoveryRep
         let desc = log.desc_addr(i);
         let addr = mem.read_u64(desc);
         let len = mem.read_u64(ByteAddr(desc.0 + 8));
-        if len == 0 || !len.is_multiple_of(LINE_BYTES) || payload_cursor + len > log.end().0 {
-            break;
-        }
+        // `checked_add`: a garbled length near `u64::MAX` must stop the
+        // walk, not wrap past the bound check.
+        let next = match payload_cursor.checked_add(len) {
+            Some(next) if len != 0 && len.is_multiple_of(LINE_BYTES) && next <= log.end().0 => next,
+            _ => break,
+        };
         let mut payload = vec![0u8; len as usize];
         mem.read(ByteAddr(payload_cursor), &mut payload);
         mem.write(ByteAddr(addr), &payload);
         restored += 1;
-        payload_cursor += len;
+        payload_cursor = next;
     }
     // Disarm: recovery completed; the pre-transaction state is current.
     mem.write(log.valid_addr(), &0u64.to_le_bytes());
@@ -339,6 +342,38 @@ mod tests {
                 return;
             }
         }
+    }
+
+    #[test]
+    fn overflowing_descriptor_length_stops_restore() {
+        // An armed log whose first descriptor length wraps the payload
+        // cursor past u64::MAX: recovery must stop restoring, not panic
+        // on the addition or abort allocating the payload.
+        let mut pm = Pmem::for_core(0);
+        let mut plan = RegionPlanner::new(pm.region());
+        let log = UndoLog::new(plan.alloc_lines(64), 8, 64);
+        let data = plan.alloc_lines(1);
+        log.format(&mut pm);
+        pm.write_u64(log.valid_addr(), 1);
+        pm.write_u64(log.count_addr(), 1);
+        pm.write_u64(log.desc_addr(0), data.0);
+        pm.write_u64(ByteAddr(log.desc_addr(0).0 + 8), 0xFFFF_FFFF_FFFF_FFC0);
+        pm.clwb(log.valid_addr(), log.size_bytes() as usize);
+        pm.persist_barrier();
+        let (trace, _) = pm.into_parts();
+        let cfg = SimConfig::single_core(Design::NoEncryption);
+        let key = cfg.key;
+        let out = System::new(cfg, vec![trace]).run(CrashSpec::None);
+        let mut mem = RecoveredMemory::new(out.image, key);
+        assert_eq!(
+            mem.read_u64(ByteAddr(log.desc_addr(0).0 + 8)),
+            0xFFFF_FFFF_FFFF_FFC0
+        );
+
+        let report = recover_undo_log(&mut mem, &log);
+        assert!(report.rolled_back, "the armed log is still disarmed");
+        assert_eq!(report.entries_restored, 0);
+        assert!(report.reads_clean);
     }
 
     #[test]

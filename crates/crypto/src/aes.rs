@@ -8,10 +8,16 @@
 //! runs the inverse cipher — but the inverse is provided for completeness
 //! and for validating the implementation round-trip.
 //!
-//! This is a table-free, constant-structure implementation optimized for
-//! clarity over throughput; simulated encryption latency is a *timing
-//! model parameter* (see `nvmm_sim::config`), not the wall-clock cost of
-//! this code.
+//! The forward cipher is table-driven: four 1 KiB round tables (`TE`),
+//! computed at compile time from the S-box and GF(2^8) multiply, fold
+//! SubBytes, ShiftRows and MixColumns into sixteen lookups per round.
+//! The inverse cipher stays byte-oriented, so it is an independent
+//! check on the tables. Table lookups are indexed by secret state, so
+//! this implementation is **not constant-time**: it leaks through the
+//! data cache and must never protect real secrets. That is acceptable
+//! here because simulated encryption latency is a *timing model
+//! parameter* (see `nvmm_sim::config`), not the wall-clock cost of this
+//! code.
 //!
 //! # Examples
 //!
@@ -32,38 +38,52 @@ const NR: usize = 10;
 /// Number of 32-bit words in the state.
 const NB: usize = 4;
 
-/// The AES S-box, generated at first use from the finite-field inverse
-/// and affine transform rather than embedded as a literal table.
-fn sbox() -> &'static [u8; 256] {
-    use std::sync::OnceLock;
-    static SBOX: OnceLock<[u8; 256]> = OnceLock::new();
-    SBOX.get_or_init(|| {
-        let mut table = [0u8; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let inv = if i == 0 { 0 } else { gf_inv(i as u8) };
-            *slot = affine(inv);
-        }
-        table
-    })
-}
+/// The AES S-box, generated at compile time from the finite-field
+/// inverse and affine transform rather than embedded as a literal table.
+static SBOX: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        let inv = if i == 0 { 0 } else { gf_inv(i as u8) };
+        table[i] = affine(inv);
+        i += 1;
+    }
+    table
+};
 
 /// The inverse AES S-box.
-fn inv_sbox() -> &'static [u8; 256] {
-    use std::sync::OnceLock;
-    static INV: OnceLock<[u8; 256]> = OnceLock::new();
-    INV.get_or_init(|| {
-        let fwd = sbox();
-        let mut table = [0u8; 256];
-        for (i, &s) in fwd.iter().enumerate() {
-            table[s as usize] = i as u8;
-        }
-        table
-    })
-}
+static INV_SBOX: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[SBOX[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The four forward round tables. `TE[0][x]` is the MixColumns column
+/// `(2·S[x], S[x], S[x], 3·S[x])` as a big-endian word, and `TE[r]` is
+/// `TE[0]` rotated right by `8r` bits, so one round of SubBytes,
+/// ShiftRows and MixColumns on a column is four lookups and three XORs.
+static TE: [[u32; 256]; 4] = {
+    let mut te = [[0u32; 256]; 4];
+    let mut i = 0;
+    while i < 256 {
+        let s = SBOX[i];
+        let w = u32::from_be_bytes([gf_mul(s, 2), s, s, gf_mul(s, 3)]);
+        te[0][i] = w;
+        te[1][i] = w.rotate_right(8);
+        te[2][i] = w.rotate_right(16);
+        te[3][i] = w.rotate_right(24);
+        i += 1;
+    }
+    te
+};
 
 /// Multiply two elements of GF(2^8) with the AES reduction polynomial
 /// x^8 + x^4 + x^3 + x + 1 (0x11b).
-fn gf_mul(mut a: u8, mut b: u8) -> u8 {
+const fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     let mut acc = 0u8;
     while b != 0 {
         if b & 1 != 0 {
@@ -80,7 +100,7 @@ fn gf_mul(mut a: u8, mut b: u8) -> u8 {
 }
 
 /// Multiplicative inverse in GF(2^8) via exponentiation (a^254).
-fn gf_inv(a: u8) -> u8 {
+const fn gf_inv(a: u8) -> u8 {
     // a^254 = a^(2+4+8+16+32+64+128)
     let a2 = gf_mul(a, a);
     let a4 = gf_mul(a2, a2);
@@ -99,12 +119,12 @@ fn gf_inv(a: u8) -> u8 {
 }
 
 /// The AES affine transformation applied after the field inverse.
-fn affine(x: u8) -> u8 {
+const fn affine(x: u8) -> u8 {
     x ^ x.rotate_left(1) ^ x.rotate_left(2) ^ x.rotate_left(3) ^ x.rotate_left(4) ^ 0x63
 }
 
 fn sub_word(w: u32) -> u32 {
-    let s = sbox();
+    let s = &SBOX;
     let b = w.to_be_bytes();
     u32::from_be_bytes([
         s[b[0] as usize],
@@ -179,20 +199,43 @@ impl Aes128 {
         }
     }
 
-    /// Encrypts a single 16-byte block in place-independent fashion.
+    /// Encrypts a single 16-byte block.
+    ///
+    /// The state is held as four big-endian column words; each of the
+    /// nine full rounds is sixteen `TE` table lookups, and the last round
+    /// (no MixColumns) substitutes bytes through the S-box directly.
     pub fn encrypt_block(&self, input: &[u8; 16]) -> [u8; 16] {
-        let mut state = *input;
-        self.add_round_key(&mut state, 0);
+        let rk = &self.round_keys;
+        let col = |c: usize| {
+            u32::from_be_bytes([
+                input[4 * c],
+                input[4 * c + 1],
+                input[4 * c + 2],
+                input[4 * c + 3],
+            ]) ^ rk[c]
+        };
+        let mut s = [col(0), col(1), col(2), col(3)];
         for round in 1..NR {
-            sub_bytes(&mut state);
-            shift_rows(&mut state);
-            mix_columns(&mut state);
-            self.add_round_key(&mut state, round);
+            let k = &rk[round * NB..round * NB + NB];
+            s = core::array::from_fn(|c| {
+                TE[0][(s[c] >> 24) as usize]
+                    ^ TE[1][(s[(c + 1) % NB] >> 16) as usize & 0xff]
+                    ^ TE[2][(s[(c + 2) % NB] >> 8) as usize & 0xff]
+                    ^ TE[3][s[(c + 3) % NB] as usize & 0xff]
+                    ^ k[c]
+            });
         }
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        self.add_round_key(&mut state, NR);
-        state
+        let mut out = [0u8; 16];
+        for c in 0..NB {
+            let w = u32::from_be_bytes([
+                SBOX[(s[c] >> 24) as usize],
+                SBOX[(s[(c + 1) % NB] >> 16) as usize & 0xff],
+                SBOX[(s[(c + 2) % NB] >> 8) as usize & 0xff],
+                SBOX[s[(c + 3) % NB] as usize & 0xff],
+            ]) ^ rk[NR * NB + c];
+            out[4 * c..4 * c + 4].copy_from_slice(&w.to_be_bytes());
+        }
+        out
     }
 
     /// Decrypts a single 16-byte block (the inverse cipher).
@@ -215,15 +258,8 @@ impl Aes128 {
     }
 }
 
-fn sub_bytes(state: &mut [u8; 16]) {
-    let s = sbox();
-    for b in state.iter_mut() {
-        *b = s[*b as usize];
-    }
-}
-
 fn inv_sub_bytes(state: &mut [u8; 16]) {
-    let s = inv_sbox();
+    let s = &INV_SBOX;
     for b in state.iter_mut() {
         *b = s[*b as usize];
     }
@@ -231,18 +267,6 @@ fn inv_sub_bytes(state: &mut [u8; 16]) {
 
 /// State layout: `state[4*c + r]` is row `r`, column `c` (column-major, as
 /// in FIPS-197).
-fn shift_rows(state: &mut [u8; 16]) {
-    for r in 1..4 {
-        let mut row = [0u8; 4];
-        for c in 0..4 {
-            row[c] = state[4 * ((c + r) % 4) + r];
-        }
-        for c in 0..4 {
-            state[4 * c + r] = row[c];
-        }
-    }
-}
-
 fn inv_shift_rows(state: &mut [u8; 16]) {
     for r in 1..4 {
         let mut row = [0u8; 4];
@@ -252,21 +276,6 @@ fn inv_shift_rows(state: &mut [u8; 16]) {
         for c in 0..4 {
             state[4 * c + r] = row[c];
         }
-    }
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] = gf_mul(col[0], 2) ^ gf_mul(col[1], 3) ^ col[2] ^ col[3];
-        state[4 * c + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
-        state[4 * c + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
-        state[4 * c + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
     }
 }
 
@@ -295,7 +304,7 @@ mod tests {
 
     #[test]
     fn sbox_known_entries() {
-        let s = sbox();
+        let s = &SBOX;
         // Spot values from FIPS-197 Figure 7.
         assert_eq!(s[0x00], 0x63);
         assert_eq!(s[0x01], 0x7c);
@@ -305,8 +314,7 @@ mod tests {
 
     #[test]
     fn inv_sbox_inverts_sbox() {
-        let s = sbox();
-        let inv = inv_sbox();
+        let (s, inv) = (&SBOX, &INV_SBOX);
         for i in 0..=255u8 {
             assert_eq!(inv[s[i as usize] as usize], i);
         }
@@ -358,6 +366,37 @@ mod tests {
         let aes = Aes128::new(&key);
         assert_eq!(aes.encrypt_block(&plain), expect);
         assert_eq!(aes.decrypt_block(&expect), plain);
+    }
+
+    fn hex16(s: &str) -> [u8; 16] {
+        core::array::from_fn(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).unwrap())
+    }
+
+    #[test]
+    fn sp800_38a_f11_ecb_aes128_vectors() {
+        // NIST SP 800-38A Appendix F.1.1, ECB-AES128.Encrypt.
+        let aes = Aes128::new(&hex16("2b7e151628aed2a6abf7158809cf4f3c"));
+        for (plain, cipher) in [
+            (
+                "6bc1bee22e409f96e93d7e117393172a",
+                "3ad77bb40d7a3660a89ecaf32466ef97",
+            ),
+            (
+                "ae2d8a571e03ac9c9eb76fac45af8e51",
+                "f5d3d58503b9699de785895a96fdbaaf",
+            ),
+            (
+                "30c81c46a35ce411e5fbc1191a0a52ef",
+                "43b1cd7f598ece23881b00e3ed030688",
+            ),
+            (
+                "f69f2445df4f9b17ad2b417be66c3710",
+                "7b0c785e27e8ad3f8223207104725dd4",
+            ),
+        ] {
+            assert_eq!(aes.encrypt_block(&hex16(plain)), hex16(cipher), "{plain}");
+            assert_eq!(aes.decrypt_block(&hex16(cipher)), hex16(plain), "{cipher}");
+        }
     }
 
     #[test]

@@ -271,6 +271,16 @@ mod tests {
     }
 
     #[test]
+    fn mac_encoding_is_pinned() {
+        // Pins the key tweak, the CBC-MAC chaining and the truncation.
+        let line: [u8; LINE_BYTES] = core::array::from_fn(|i| i as u8);
+        assert_eq!(
+            engine().line_mac(0x40, Counter(3), &line),
+            Mac(0x0b17_d401_8d8a_aa05)
+        );
+    }
+
+    #[test]
     fn mac_is_deterministic() {
         let e = engine();
         let data = [0xa5u8; LINE_BYTES];

@@ -112,6 +112,22 @@ mod tests {
     }
 
     #[test]
+    fn pad_encoding_is_pinned() {
+        // Pins the AES input encoding (address, folded counter, block
+        // index) and the cipher together: any change to either moves
+        // every simulated ciphertext.
+        let p = line_pad(&cipher(), 0x1234, Counter(0x0102_0304_0506_0708));
+        let expect: LinePad = [
+            0xcb, 0x1e, 0x33, 0x62, 0xc6, 0x54, 0x3d, 0xbe, 0x8b, 0x04, 0xff, 0xdc, 0xa1, 0x93,
+            0x6f, 0x86, 0x41, 0xb3, 0x9d, 0x6f, 0x12, 0xab, 0xa6, 0x30, 0xf6, 0xa6, 0xfd, 0x92,
+            0x57, 0x6c, 0xc8, 0x2d, 0xe9, 0xf6, 0x2f, 0xf2, 0x55, 0x82, 0xef, 0x3a, 0x6d, 0xc8,
+            0xe8, 0x98, 0xb6, 0x83, 0x46, 0xa3, 0x36, 0xbc, 0x4b, 0x2d, 0xcb, 0xde, 0xb9, 0x22,
+            0xc4, 0xe8, 0x87, 0xad, 0x4d, 0xf0, 0x7c, 0x66,
+        ];
+        assert_eq!(p, expect);
+    }
+
+    #[test]
     fn xor_is_involution() {
         let c = cipher();
         let pad = line_pad(&c, 5, Counter(7));

@@ -42,7 +42,7 @@ use crate::nvmm::NvmmImage;
 use crate::stats::Stats;
 use crate::time::Time;
 use crate::wq::{PlainReceipt, WriteQueues};
-use fxhash::FxHashMap;
+use fxhash::{FxHashMap, FxHashSet};
 use nvmm_crypto::counter::CounterLine;
 use nvmm_crypto::engine::EncryptionEngine;
 use nvmm_crypto::mac::MacLine;
@@ -168,6 +168,55 @@ impl JournalOp {
             (JournalOp::CoLocated { .. }, _) => true,
             (_, JournalOp::CoLocated { .. }) => false,
             _ => true,
+        }
+    }
+}
+
+/// A journal op keyed by its NVMM target: a set of these holds one op
+/// per target, one pointer each.
+struct ByTarget<'a>(&'a JournalOp);
+
+impl std::hash::Hash for ByTarget<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.target().hash(state);
+    }
+}
+
+impl PartialEq for ByTarget<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.target() == other.0.target()
+    }
+}
+
+impl Eq for ByTarget<'_> {}
+
+/// Applies a journal sequence to `img` with the result of applying every
+/// op in order, paying only for the ops that can still matter.
+///
+/// A first walk finds the last writer of each NVMM target. The second
+/// walk applies an op only when it is that last writer or the last
+/// writer does not [`JournalOp::covers`] it, in the original order. A
+/// skipped op's every cell is rewritten later by its target's last
+/// writer, which is applied, so the final maps — and therefore the
+/// incremental fingerprint, a commutative fold over them — are
+/// bit-identical to per-record apply, which stays the oracle in
+/// `CrashSet::image`. Each surviving write costs its two fingerprint
+/// hashes once; a skipped one costs none. Side state is one pointer
+/// per distinct target.
+///
+/// `ops` is called twice and must yield the same sequence both times.
+pub(crate) fn apply_journal<'a, I>(img: &mut NvmmImage, ops: impl Fn() -> I)
+where
+    I: Iterator<Item = &'a JournalOp>,
+{
+    let mut last: FxHashSet<ByTarget<'a>> = FxHashSet::default();
+    for op in ops() {
+        last.replace(ByTarget(op));
+    }
+    for op in ops() {
+        let writer = last.get(&ByTarget(op)).map_or(op, |w| w.0);
+        if std::ptr::eq(writer, op) || !writer.covers(op) {
+            op.apply(img);
         }
     }
 }
@@ -1063,14 +1112,12 @@ impl MemoryController {
     /// lands).
     pub fn build_image(&self, crash_time: Option<Time>) -> NvmmImage {
         let mut img = NvmmImage::new();
-        for rec in &self.journal {
-            if let Some(t) = crash_time {
-                if rec.guaranteed_at > t {
-                    continue;
-                }
-            }
-            rec.op.apply(&mut img);
-        }
+        apply_journal(&mut img, || {
+            self.journal
+                .iter()
+                .filter(move |rec| crash_time.is_none_or(|t| rec.guaranteed_at <= t))
+                .map(|rec| &rec.op)
+        });
         img
     }
 

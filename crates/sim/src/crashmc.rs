@@ -1155,25 +1155,82 @@ mod tests {
         (0..horizon_ns).step_by(7).map(Time::from_ns)
     }
 
-    #[test]
-    fn baseline_matches_build_image_at_every_instant() {
-        let (mut c, mut s) = ctl(Design::Fca);
-        for i in 0..6u64 {
+    /// Every instant at which `c`'s journal changes what a crash keeps:
+    /// each record's submission, its guarantee, and the picosecond
+    /// before its guarantee.
+    fn journal_instants(c: &MemoryController) -> Vec<Time> {
+        let mut ts: Vec<Time> = c
+            .journal()
+            .iter()
+            .flat_map(|r| {
+                [
+                    r.submitted_at,
+                    r.guaranteed_at.saturating_sub(Time::from_ps(1)),
+                    r.guaranteed_at,
+                ]
+            })
+            .collect();
+        ts.sort_unstable();
+        ts.dedup();
+        ts
+    }
+
+    /// Writes lines 0, 5 and 10 (two counter lines, one tree path) four
+    /// times each, so the journal re-writes the same data, counter,
+    /// MAC, packed and tree targets, then holds the last-writer
+    /// `build_image` to the per-record crash-set baseline, region by
+    /// region, at every journal instant.
+    fn assert_build_matches_baseline(cfg: SimConfig, counter_atomic: bool) {
+        let mut c = MemoryController::new(&cfg);
+        let mut s = Stats::new(1);
+        for i in 0..12u64 {
+            let line = LineAddr(i % 3 * 5);
             c.writeback(
-                LineAddr(i),
+                line,
                 [i as u8; 64],
-                false,
+                counter_atomic,
                 Time::from_ns(i * 40),
                 &mut s,
             );
         }
-        for t in probe_times(2_000) {
-            let set = c.crash_set(t);
+        let what = format!("{:?}/{:?}", cfg.design, cfg.integrity);
+        let targets: std::collections::HashSet<_> =
+            c.journal().iter().map(|r| r.op.target()).collect();
+        assert!(
+            targets.len() < c.journal_len(),
+            "{what}: the journal must re-write some target"
+        );
+        for t in journal_instants(&c)
+            .into_iter()
+            .chain([Time::from_ns(1_000_000)])
+        {
+            let built = c.build_image(Some(t));
             assert_eq!(
-                set.baseline().fingerprint(),
-                c.build_image(Some(t)).fingerprint(),
-                "all-miss mask must reproduce the single filtered journal at {t}"
+                built.fingerprint(),
+                built.fingerprint_recompute(),
+                "{what}: incremental fingerprint drifted at {t}"
             );
+            assert!(
+                built == c.crash_set(t).baseline(),
+                "{what}: build_image differs from the per-record baseline at {t}"
+            );
+        }
+    }
+
+    #[test]
+    fn baseline_matches_build_image_at_every_instant() {
+        use crate::config::IntegrityPolicy;
+        assert_build_matches_baseline(SimConfig::single_core(Design::Fca), false);
+        assert_build_matches_baseline(SimConfig::single_core(Design::CoLocated), false);
+        for policy in [
+            IntegrityPolicy::MacOnly,
+            IntegrityPolicy::Lazy,
+            IntegrityPolicy::Strict,
+            IntegrityPolicy::Phoenix,
+            IntegrityPolicy::Colocated,
+        ] {
+            let cfg = SimConfig::single_core(Design::Sca).with_integrity(policy);
+            assert_build_matches_baseline(cfg, true);
         }
     }
 

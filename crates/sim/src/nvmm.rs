@@ -50,6 +50,7 @@ impl LineRead {
 /// design is unencrypted / the line predates encryption) plus the
 /// ground-truth counter used at encryption time.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
 struct StoredLine {
     bytes: LineData,
     /// Counter the ciphertext was produced with; `Counter::ZERO` means
@@ -113,6 +114,7 @@ fn hash_tree_entry(addr: TreeNodeAddr, node: &DigestLine) -> u128 {
 /// proportional to the entries *changed* between candidate images, not
 /// the image size.
 #[derive(Debug, Clone, Default)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
 pub struct NvmmImage {
     data: FxHashMap<LineAddr, StoredLine>,
     counters: FxHashMap<CounterLineAddr, CounterLine>,

@@ -37,7 +37,7 @@
 
 use crate::addr::{LineAddr, NvmmTarget, ShardMap};
 use crate::config::{CacheGeometry, Design, SimConfig};
-use crate::controller::{JournalRecord, MemoryController};
+use crate::controller::{apply_journal, JournalRecord, MemoryController};
 use crate::crashmc::CrashSet;
 use crate::device::WearReport;
 use crate::nvmm::NvmmImage;
@@ -71,6 +71,59 @@ fn slice_geometry(g: CacheGeometry, shard: usize, n: usize) -> CacheGeometry {
     }
 }
 
+/// The live journals of `shards` in merged order: the k-way merge by
+/// `(submitted_at, shard_index)` described in the module docs, streamed
+/// through a [`BinaryHeap`] of per-shard cursors — O(shards) state and
+/// O(log shards) per record, never materializing the merged list.
+/// Within a shard, records come in submission order, so with one shard
+/// this is the identity traversal. With a bound, the merge stops at the
+/// first record submitted at or after it.
+struct Merged<'a> {
+    shards: &'a [MemoryController],
+    cur: Vec<usize>,
+    heap: BinaryHeap<Reverse<(Time, usize)>>,
+    before: Option<Time>,
+}
+
+impl<'a> Merged<'a> {
+    fn new(shards: &'a [MemoryController], before: Option<Time>) -> Self {
+        let heap = shards
+            .iter()
+            .enumerate()
+            .filter_map(|(s, ctl)| {
+                ctl.journal()
+                    .first()
+                    .map(|rec| Reverse((rec.submitted_at, s)))
+            })
+            .collect();
+        Self {
+            shards,
+            cur: vec![0; shards.len()],
+            heap,
+            before,
+        }
+    }
+}
+
+impl<'a> Iterator for Merged<'a> {
+    type Item = &'a JournalRecord;
+
+    fn next(&mut self) -> Option<&'a JournalRecord> {
+        let &Reverse((at, s)) = self.heap.peek()?;
+        if self.before.is_some_and(|b| at >= b) {
+            return None;
+        }
+        self.heap.pop();
+        let journal = self.shards[s].journal();
+        let rec = &journal[self.cur[s]];
+        self.cur[s] += 1;
+        if let Some(next) = journal.get(self.cur[s]) {
+            self.heap.push(Reverse((next.submitted_at, s)));
+        }
+        Some(rec)
+    }
+}
+
 /// `N` channel-sharded memory controllers behind a deterministic
 /// address interleave (see the module docs).
 #[derive(Debug)]
@@ -80,8 +133,6 @@ pub struct ShardedController {
     /// Image accumulated from compacted journal records; empty until
     /// `ShardedController::compact_through` first folds something.
     base: NvmmImage,
-    /// Merge cursor per shard: records before it are folded into `base`.
-    folded: Vec<usize>,
     /// Total journal records folded into `base` so far.
     compacted: u64,
 }
@@ -106,7 +157,6 @@ impl ShardedController {
             map,
             shards,
             base: NvmmImage::new(),
-            folded: vec![0; config.shards],
             compacted: 0,
         }
     }
@@ -222,32 +272,9 @@ impl ShardedController {
         self.compacted
     }
 
-    /// Visits the live (un-compacted) journal in merged order: the
-    /// k-way merge by `(submitted_at, shard_index)` described in the
-    /// module docs, streamed through a [`BinaryHeap`] of per-shard
-    /// cursors — O(shards) state and O(log shards) per record, never
-    /// materializing the merged list. Within a shard, records are
-    /// visited in submission order, so with one shard this is the
-    /// identity traversal.
-    fn for_each_merged(&self, mut f: impl FnMut(&JournalRecord)) {
-        let mut cur: Vec<usize> = self.folded.clone();
-        let mut heap: BinaryHeap<Reverse<(Time, usize)>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(s, ctl)| {
-                ctl.journal()
-                    .get(cur[s])
-                    .map(|rec| Reverse((rec.submitted_at, s)))
-            })
-            .collect();
-        while let Some(Reverse((_, s))) = heap.pop() {
-            f(&self.shards[s].journal()[cur[s]]);
-            cur[s] += 1;
-            if let Some(rec) = self.shards[s].journal().get(cur[s]) {
-                heap.push(Reverse((rec.submitted_at, s)));
-            }
-        }
+    /// The live (un-compacted) journal in merged order.
+    fn merged(&self) -> Merged<'_> {
+        Merged::new(&self.shards, None)
     }
 
     /// Streams the merge keys `(submitted_at, shard)` of the live
@@ -258,14 +285,14 @@ impl ShardedController {
     /// allocation bound (the crate itself forbids the `unsafe` a
     /// counting `GlobalAlloc` needs).
     pub fn for_each_merged_key(&self, mut f: impl FnMut(Time, usize)) {
-        self.for_each_merged(|rec| f(rec.submitted_at, rec.shard));
+        self.merged().for_each(|rec| f(rec.submitted_at, rec.shard));
     }
 
     /// The merged journal as one owned, globally-ordered record list —
     /// what the model checker enumerates over.
     pub(crate) fn merged_journal(&self) -> Vec<JournalRecord> {
         let mut out = Vec::with_capacity(self.shards.iter().map(|c| c.journal_len()).sum());
-        self.for_each_merged(|rec| out.push(rec.clone()));
+        out.extend(self.merged().cloned());
         out
     }
 
@@ -284,13 +311,10 @@ impl ShardedController {
             "crash-time image unavailable after journal compaction"
         );
         let mut img = self.base.clone();
-        self.for_each_merged(|rec| {
-            if let Some(t) = crash_time {
-                if rec.guaranteed_at > t {
-                    return;
-                }
-            }
-            rec.op.apply(&mut img);
+        apply_journal(&mut img, || {
+            self.merged()
+                .filter(move |rec| crash_time.is_none_or(|t| rec.guaranteed_at <= t))
+                .map(|rec| &rec.op)
         });
         img
     }
@@ -315,13 +339,10 @@ impl ShardedController {
     /// arrived strictly after submission, in merged order. After
     /// compaction this covers only the un-folded tail.
     pub fn persist_windows(&self) -> Vec<(Time, Time)> {
-        let mut out = Vec::new();
-        self.for_each_merged(|rec| {
-            if rec.guaranteed_at > rec.submitted_at {
-                out.push((rec.submitted_at, rec.guaranteed_at));
-            }
-        });
-        out
+        self.merged()
+            .filter(|rec| rec.guaranteed_at > rec.submitted_at)
+            .map(|rec| (rec.submitted_at, rec.guaranteed_at))
+            .collect()
     }
 
     /// Folds into the base image every journal record submitted
@@ -332,34 +353,13 @@ impl ShardedController {
     /// folded records a stable prefix of the final merged order, so the
     /// completion image is unchanged.
     pub(crate) fn compact_through(&mut self, watermark: Time) {
-        let mut heap: BinaryHeap<Reverse<(Time, usize)>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(s, ctl)| {
-                ctl.journal()
-                    .get(self.folded[s])
-                    .map(|rec| Reverse((rec.submitted_at, s)))
-            })
-            .collect();
-        while let Some(&Reverse((at, s))) = heap.peek() {
-            if at >= watermark {
-                break;
-            }
-            heap.pop();
-            self.shards[s].journal()[self.folded[s]]
-                .op
-                .apply(&mut self.base);
-            self.folded[s] += 1;
-            self.compacted += 1;
-            if let Some(rec) = self.shards[s].journal().get(self.folded[s]) {
-                heap.push(Reverse((rec.submitted_at, s)));
-            }
-        }
-        for (s, folded) in self.folded.iter_mut().enumerate() {
-            if *folded > 0 {
-                self.shards[s].drain_journal_prefix(*folded);
-                *folded = 0;
+        let prefix = || Merged::new(&self.shards, Some(watermark));
+        apply_journal(&mut self.base, || prefix().map(|rec| &rec.op));
+        let mut walk = prefix();
+        self.compacted += walk.by_ref().count() as u64;
+        for (s, end) in walk.cur.into_iter().enumerate() {
+            if end > 0 {
+                self.shards[s].drain_journal_prefix(end);
             }
         }
     }
@@ -471,7 +471,9 @@ mod tests {
         // `tests/merge_streaming.rs`: hooking the allocator needs
         // `unsafe`, which this crate forbids.)
         let mut visited = Vec::new();
-        sharded.for_each_merged(|rec| visited.push((rec.submitted_at, rec.shard)));
+        sharded
+            .merged()
+            .for_each(|rec| visited.push((rec.submitted_at, rec.shard)));
         let keys: Vec<_> = merged.iter().map(|r| (r.submitted_at, r.shard)).collect();
         assert_eq!(visited, keys);
     }
@@ -499,6 +501,31 @@ mod tests {
             compacted.build_image(None).fingerprint(),
             reference.build_image(None).fingerprint(),
             "folding a stable prefix must not change the completion image"
+        );
+    }
+
+    #[test]
+    fn sharded_completion_image_matches_per_record_apply() {
+        // Strict integrity on four shards: every write persists the
+        // shared root path from its own shard, so the merged journal
+        // re-writes tree nodes across shards as well as within one.
+        let cfg4 = cfg(4).with_integrity(crate::config::IntegrityPolicy::Strict);
+        let mut sharded = ShardedController::new(&cfg4);
+        let mut stats = Stats::new(1);
+        let mut t = Time::from_ns(3);
+        for i in 0..48u64 {
+            sharded.writeback(LineAddr(i % 6 * 8), data(i), true, t, &mut stats);
+            t += Time::from_ns(9);
+        }
+        let mut reference = NvmmImage::new();
+        for rec in sharded.merged_journal() {
+            rec.op.apply(&mut reference);
+        }
+        let built = sharded.build_image(None);
+        assert_eq!(built.fingerprint(), built.fingerprint_recompute());
+        assert!(
+            built == reference,
+            "last-writer build must equal the per-record apply"
         );
     }
 
