@@ -23,7 +23,6 @@ fn main() {
         cfg.counter_cache.capacity_bytes >> 20,
         cfg.counter_cache.ways
     );
-    println!("Data read queue       : {} entries", cfg.read_queue_entries);
     println!(
         "Data write queue      : {} entries",
         cfg.data_write_queue_entries

@@ -37,7 +37,6 @@
 //! [`SweepCell::with_kept_image`].
 
 use crate::{CellRecord, Experiment};
-use nvmm_json::ToJson;
 use nvmm_sim::config::{Design, SimConfig};
 use nvmm_sim::nvmm::NvmmImage;
 use nvmm_sim::parallel::{env_knob, run_parallel};
@@ -116,32 +115,19 @@ impl SweepCell {
         self
     }
 
-    /// Stable key fragment for the arrival shape.
-    fn shape_key(&self) -> String {
-        match &self.shape {
-            Some(curve) => curve.to_json().to_compact(),
-            None => "closed".to_string(),
-        }
-    }
-
     /// Trace-cache key: one functional execution (plus shaping) per
     /// unique value.
-    fn trace_key(&self) -> (String, usize, String) {
-        (
-            self.spec.to_json().to_compact(),
-            self.cfg.cores,
-            self.shape_key(),
-        )
+    fn trace_key(&self) -> String {
+        format!("{:?}|{}|{:?}", self.spec, self.cfg.cores, self.shape)
     }
 
-    /// Sim-dedupe key: one simulation per unique value.
+    /// Sim-dedupe key: one simulation per unique value. Derived `Debug`
+    /// prints every field, so configs that differ in any field never
+    /// share a run.
     fn sim_key(&self) -> String {
         format!(
-            "{}|{}|{:?}|{}",
-            self.spec.to_json().to_compact(),
-            self.cfg.to_json().to_compact(),
-            self.crash,
-            self.shape_key()
+            "{:?}|{:?}|{:?}|{:?}",
+            self.spec, self.cfg, self.crash, self.shape
         )
     }
 }
@@ -188,7 +174,7 @@ impl SweepRunner {
 
         // Phase 1: functional execution of each unique
         // (spec, cores, shape).
-        let mut trace_index: HashMap<(String, usize, String), usize> = HashMap::new();
+        let mut trace_index: HashMap<String, usize> = HashMap::new();
         let mut trace_jobs: Vec<(WorkloadSpec, usize, Option<ArrivalCurve>)> = Vec::new();
         for cell in &cells {
             trace_index.entry(cell.trace_key()).or_insert_with(|| {
@@ -345,13 +331,23 @@ mod tests {
 
     #[test]
     fn duplicate_cells_share_one_outcome() {
-        let outs = SweepRunner::with_threads(1).run(smoke_cells());
-        assert_eq!(outs.len(), 3);
+        let mut cells = smoke_cells();
+        // Differs from the first cell in exactly one config field (one
+        // the replay never reads): still a separate simulation.
+        let mut cfg = cells[0].cfg.clone();
+        cfg.cell_endurance += 1;
+        cells.push(SweepCell::new("q", "Sca-endurance", &cells[0].spec, cfg));
+        let outs = SweepRunner::with_threads(1).run(cells);
+        assert_eq!(outs.len(), 4);
         assert!(
             Arc::ptr_eq(&outs.outcomes[0], &outs.outcomes[2]),
             "dedupe must share"
         );
         assert!(!Arc::ptr_eq(&outs.outcomes[0], &outs.outcomes[1]));
+        assert!(
+            !Arc::ptr_eq(&outs.outcomes[0], &outs.outcomes[3]),
+            "a one-field config difference must not dedupe"
+        );
     }
 
     #[test]

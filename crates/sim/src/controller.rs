@@ -35,7 +35,7 @@
 
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, NvmmTarget, TreeNodeAddr};
 use crate::cache::SetAssocCache;
-use crate::config::{Design, SimConfig};
+use crate::config::{Design, InjectedBug, SimConfig};
 use crate::device::{AccessKind, PcmDevice, WearReport, WearTracker};
 use crate::integrity::{DigestLine, IntegrityState, MetaKey};
 use crate::nvmm::NvmmImage;
@@ -252,19 +252,12 @@ pub struct MemoryController {
     counter_lag: FxHashMap<CounterLineAddr, u64>,
     /// The integrity-verification subsystem, when the config enables it.
     integrity: Option<IntegrityState>,
-    /// Fault injection: journal strict-policy tree-path updates as
-    /// independent instantly-guaranteed writes instead of riding the
-    /// counter-atomic pair — the parent-ahead-of-child ordering bug the
-    /// model checker must catch.
-    tree_bug_parent_first: bool,
-    /// Fault injection (pipelined): journal the root node outside the
-    /// pair with an instant guarantee — a dropped dependency in the
-    /// in-cache tracker lets the root outrun the path it digests.
-    tree_bug_drop_dependency: bool,
-    /// Fault injection (phoenix): journal the epoch summary outside its
-    /// pair with an instant guarantee, so a crash can persist a summary
-    /// claiming counter state that never landed.
-    phoenix_bug_stale_epoch: bool,
+    /// Fault injection: the injected bug journals its metadata (the
+    /// strict tree path, the pipelined root, or the phoenix epoch
+    /// summary) as independent instantly-guaranteed writes instead of
+    /// riding the counter-atomic pair — the ordering bug the model
+    /// checker must catch.
+    injected_bug: Option<InjectedBug>,
     /// Channel-shard id stamped on every journal record (0 for the
     /// single-controller pipeline).
     shard_id: usize,
@@ -306,9 +299,7 @@ impl MemoryController {
             stop_loss: config.stop_loss,
             counter_lag: FxHashMap::default(),
             integrity: IntegrityState::from_config(config),
-            tree_bug_parent_first: config.tree_bug_parent_first,
-            tree_bug_drop_dependency: config.tree_bug_drop_dependency,
-            phoenix_bug_stale_epoch: config.phoenix_bug_stale_epoch,
+            injected_bug: config.injected_bug,
             shard_id,
         }
     }
@@ -860,6 +851,9 @@ impl MemoryController {
                     };
                     if in_pair {
                         let path_len = path.len();
+                        let parent_first = self.injected_bug == Some(InjectedBug::ParentFirst);
+                        let drop_dependency =
+                            self.injected_bug == Some(InjectedBug::DropDependency);
                         for (i, (node, digests)) in path.iter().enumerate() {
                             let rn =
                                 self.submit_meta_write(NvmmTarget::TreeNode(*node), t_enq, stats);
@@ -867,8 +861,7 @@ impl MemoryController {
                                 node: *node,
                                 digests: *digests,
                             };
-                            let bugged = self.tree_bug_parent_first
-                                || (self.tree_bug_drop_dependency && i + 1 == path_len);
+                            let bugged = parent_first || (drop_dependency && i + 1 == path_len);
                             if bugged {
                                 bug_ops.push((rn.accepted, op));
                             } else {
@@ -877,7 +870,7 @@ impl MemoryController {
                             }
                         }
                         if policy.serializes_root() {
-                            if !self.tree_bug_parent_first {
+                            if !parent_first {
                                 let integ = self.integrity.as_mut().expect("checked");
                                 if integ.root_free > guaranteed {
                                     stats.root_update_stalls += 1;
@@ -887,7 +880,7 @@ impl MemoryController {
                                 guaranteed += self.crypto_latency;
                                 integ.root_free = guaranteed;
                             }
-                        } else if !self.tree_bug_drop_dependency {
+                        } else if !drop_dependency {
                             // Pipelined: in-cache dependency tracking
                             // (Freij et al.) only clamps this pair's
                             // guarantee to never run ahead of the previous
@@ -916,7 +909,7 @@ impl MemoryController {
                                 self.submit_meta_write(NvmmTarget::TreeNode(node), t_enq, stats);
                             stats.phoenix_epoch_writes += 1;
                             let op = JournalOp::TreeNode { node, digests };
-                            if self.phoenix_bug_stale_epoch {
+                            if self.injected_bug == Some(InjectedBug::StaleEpoch) {
                                 bug_ops.push((rs.accepted, op));
                             } else {
                                 guaranteed = guaranteed.max(rs.accepted);

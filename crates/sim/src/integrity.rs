@@ -530,11 +530,11 @@ fn fold_sorted_children(
 /// * **Epoch summaries** (phoenix): every persisted summary's claimed
 ///   counter-line sum must be at or below what the image's counter
 ///   region persisted — a higher claim means the summary outran its
-///   pair (a stale epoch). The full interior set is then
-///   [`reconstruct_tree`]'d so recovery cost stays honest.
-/// * **Tree** (lazy): interior nodes are rebuilt from the leaves
-///   ([`rebuild_tree`]), so persisted interiors are ignored; the
-///   rebuild is still exercised here so recovery cost stays honest.
+///   pair (a stale epoch). Recovery then reconstructs the interior set
+///   ([`reconstruct_tree`]); its cost is priced by [`recovery_cost`].
+/// * **Tree** (lazy): nothing to check — recovery rebuilds interior
+///   nodes from the leaves ([`rebuild_tree`], priced by
+///   [`recovery_cost`]), so persisted interiors are ignored.
 pub fn verify_image(img: &NvmmImage, spec: IntegritySpec, key: [u8; 16]) -> Result<(), String> {
     if !spec.policy.enabled() {
         return Ok(());
@@ -588,9 +588,6 @@ pub fn verify_image_with(
                 return Err(err);
             }
         }
-        let _ = reconstruct_tree(img, spec.levels);
-    } else if spec.policy.has_tree() {
-        let _ = rebuild_tree(img, spec.levels);
     }
     Ok(())
 }
