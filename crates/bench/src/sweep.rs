@@ -172,16 +172,30 @@ impl SweepRunner {
             }
         }
 
-        // Phase 1: functional execution of each unique
-        // (spec, cores, shape).
+        // One keying pass: each cell's trace slot (one functional
+        // execution per unique (spec, cores, shape)) and sim slot (one
+        // simulation per unique (spec, config, crash, shape)). A dedupe
+        // group keeps its image if *any* of its cells asked to.
         let mut trace_index: HashMap<String, usize> = HashMap::new();
         let mut trace_jobs: Vec<(WorkloadSpec, usize, Option<ArrivalCurve>)> = Vec::new();
-        for cell in &cells {
-            trace_index.entry(cell.trace_key()).or_insert_with(|| {
+        let mut sim_index: HashMap<String, usize> = HashMap::new();
+        // (representative cell, its trace slot, keep image)
+        let mut sim_jobs: Vec<(usize, usize, bool)> = Vec::new();
+        let mut sim_slots: Vec<usize> = Vec::with_capacity(cells.len());
+        for (i, cell) in cells.iter().enumerate() {
+            let trace = *trace_index.entry(cell.trace_key()).or_insert_with(|| {
                 trace_jobs.push((cell.spec, cell.cfg.cores, cell.shape));
                 trace_jobs.len() - 1
             });
+            let sim = *sim_index.entry(cell.sim_key()).or_insert_with(|| {
+                sim_jobs.push((i, trace, false));
+                sim_jobs.len() - 1
+            });
+            sim_jobs[sim].2 |= cell.keep_image;
+            sim_slots.push(sim);
         }
+
+        // Phase 1: functional execution of each unique trace set.
         let traces: Vec<Arc<Vec<Trace>>> = run_parallel(self.threads, &trace_jobs, |job| {
             let traces = traces_for_cores(&job.0, job.1);
             Arc::new(match &job.2 {
@@ -191,43 +205,21 @@ impl SweepRunner {
         });
 
         // Phase 2: one simulation per unique (spec, config, crash).
-        let mut sim_index: HashMap<String, usize> = HashMap::new();
-        let mut sim_jobs: Vec<usize> = Vec::new(); // representative cell index
-        for (i, cell) in cells.iter().enumerate() {
-            sim_index.entry(cell.sim_key()).or_insert_with(|| {
-                sim_jobs.push(i);
-                sim_jobs.len() - 1
+        let unique: Vec<Arc<RunOutcome>> =
+            run_parallel(self.threads, &sim_jobs, |&(ci, trace, keep)| {
+                let cell = &cells[ci];
+                let t = &traces[trace];
+                let mut out = System::new(cell.cfg.clone(), (**t).clone()).run(cell.crash);
+                if cell.crash == CrashSpec::None && !keep {
+                    // No consumer reads this completed run's image; drop it
+                    // so big grids don't hold every image live at once.
+                    out.image = NvmmImage::new();
+                }
+                Arc::new(out)
             });
-        }
-        // A dedupe group keeps its image if *any* of its cells asked to.
-        let mut keep_image = vec![false; sim_jobs.len()];
-        for cell in &cells {
-            if cell.keep_image {
-                keep_image[sim_index[&cell.sim_key()]] = true;
-            }
-        }
-        let sim_jobs: Vec<(usize, bool)> = sim_jobs
-            .iter()
-            .zip(&keep_image)
-            .map(|(&ci, &keep)| (ci, keep))
-            .collect();
-        let unique: Vec<Arc<RunOutcome>> = run_parallel(self.threads, &sim_jobs, |&(ci, keep)| {
-            let cell = &cells[ci];
-            let t = &traces[trace_index[&cell.trace_key()]];
-            let mut out = System::new(cell.cfg.clone(), (**t).clone()).run(cell.crash);
-            if cell.crash == CrashSpec::None && !keep {
-                // No consumer reads this completed run's image; drop it
-                // so big grids don't hold every image live at once.
-                out.image = NvmmImage::new();
-            }
-            Arc::new(out)
-        });
 
         // Phase 3: deterministic reassembly in cell order.
-        let outcomes = cells
-            .iter()
-            .map(|cell| unique[sim_index[&cell.sim_key()]].clone())
-            .collect();
+        let outcomes = sim_slots.iter().map(|&s| unique[s].clone()).collect();
         SweepOutcomes { cells, outcomes }
     }
 }

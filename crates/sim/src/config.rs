@@ -208,13 +208,6 @@ impl IntegrityPolicy {
         )
     }
 
-    /// Whether every write persists its tree path leaf-to-root,
-    /// counter-atomically (which also forces the write itself to be
-    /// counter-atomic).
-    pub fn strict(self) -> bool {
-        matches!(self, IntegrityPolicy::Strict)
-    }
-
     /// Whether every write carries its dirty tree path inside its
     /// counter-atomic pair (strict and pipelined — they differ only in
     /// how root updates are ordered).
@@ -687,13 +680,11 @@ mod tests {
         assert!(IntegrityPolicy::MacOnly.enabled());
         assert!(!IntegrityPolicy::MacOnly.has_tree());
         assert!(IntegrityPolicy::Lazy.has_tree());
-        assert!(!IntegrityPolicy::Lazy.strict());
+        assert!(!IntegrityPolicy::Lazy.serializes_root());
         assert!(IntegrityPolicy::Strict.has_tree());
-        assert!(IntegrityPolicy::Strict.strict());
         // Pipelined shares strict's in-pair path persistence but not
         // its root serialization.
         assert!(IntegrityPolicy::Pipelined.has_tree());
-        assert!(!IntegrityPolicy::Pipelined.strict());
         assert!(IntegrityPolicy::Pipelined.persists_path_in_pair());
         assert!(IntegrityPolicy::Strict.persists_path_in_pair());
         assert!(!IntegrityPolicy::Pipelined.serializes_root());

@@ -15,6 +15,10 @@
 //!   through the paired write queues of [`crate::wq`] according to the
 //!   design's counter-atomicity policy.
 //!
+//! Every NVMM write, in every design and integrity policy, is handed to
+//! its queue and then booked once by one `charge` (wear, region counter,
+//! bytes) and journaled by one `append`.
+//!
 //! ## The journal
 //!
 //! Every NVMM write is appended to a journal stamped with the time at
@@ -36,6 +40,7 @@
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, NvmmTarget, TreeNodeAddr};
 use crate::cache::SetAssocCache;
 use crate::config::{Design, InjectedBug, SimConfig};
+use crate::crashmc::Domain;
 use crate::device::{AccessKind, PcmDevice, WearReport, WearTracker};
 use crate::integrity::{DigestLine, IntegrityState, MetaKey};
 use crate::nvmm::NvmmImage;
@@ -391,24 +396,160 @@ impl MemoryController {
         Some(fill_done)
     }
 
-    /// Submits a MAC-line or tree-node write to the metadata write
-    /// queue, charging stats and wear.
-    fn submit_meta_write(
-        &mut self,
-        target: NvmmTarget,
-        t: Time,
-        stats: &mut Stats,
-    ) -> PlainReceipt {
-        let receipt = self.queues.submit_plain(&mut self.device, target, t);
+    /// Charges one NVMM write request for `target`: one wear record and
+    /// the region's fresh-or-coalesced counter, plus its byte cost when
+    /// fresh. The only code that knows what each region's write costs.
+    fn charge(&mut self, target: NvmmTarget, coalesced: bool, stats: &mut Stats) {
         stats.wear_line_writes += 1;
         self.wear.record(target);
-        if receipt.coalesced {
-            stats.coalesced_metadata_writes += 1;
-        } else {
-            stats.nvmm_metadata_writes += 1;
-            stats.bytes_written += 64;
+        match (target, coalesced) {
+            (NvmmTarget::Data(_), true) => stats.coalesced_data_writes += 1,
+            (NvmmTarget::Counter(_), true) => stats.coalesced_counter_writes += 1,
+            (NvmmTarget::PackedMeta(_), true) => stats.coalesced_packed_meta_writes += 1,
+            (NvmmTarget::Mac(_) | NvmmTarget::TreeNode(_), true) => {
+                stats.coalesced_metadata_writes += 1
+            }
+            (NvmmTarget::Data(_), false) => {
+                stats.nvmm_data_writes += 1;
+                // Co-located designs widen the line to carry its counter.
+                stats.bytes_written += if self.design.co_located() { 72 } else { 64 };
+            }
+            (NvmmTarget::Counter(cline), false) => {
+                stats.nvmm_counter_writes += 1;
+                stats.bytes_written += self.counter_line_cost(cline);
+            }
+            (NvmmTarget::PackedMeta(cline), false) => {
+                stats.nvmm_packed_meta_writes += 1;
+                stats.bytes_written += self.counter_line_cost(cline) + 64;
+            }
+            (NvmmTarget::Mac(_) | NvmmTarget::TreeNode(_), false) => {
+                stats.nvmm_metadata_writes += 1;
+                stats.bytes_written += 64;
+            }
         }
+    }
+
+    /// Submits an unpaired write of `target` to its queue at `t` and
+    /// charges it.
+    fn submit(&mut self, target: NvmmTarget, t: Time, stats: &mut Stats) -> PlainReceipt {
+        let receipt = self.queues.submit_plain(&mut self.device, target, t);
+        self.charge(target, receipt.coalesced, stats);
         receipt
+    }
+
+    /// Appends one persisted write to the journal, stamped with this
+    /// controller's shard.
+    fn append(
+        &mut self,
+        op: JournalOp,
+        domain: Domain,
+        pair: Option<u64>,
+        submitted_at: Time,
+        guaranteed_at: Time,
+    ) {
+        self.journal.push(JournalRecord {
+            submitted_at,
+            guaranteed_at,
+            pair,
+            domain,
+            shard: self.shard_id,
+            op,
+        });
+    }
+
+    /// A fresh counter-atomic pair id for journal grouping.
+    fn next_pair(&mut self) -> Option<u64> {
+        self.next_pair += 1;
+        Some(self.next_pair - 1)
+    }
+
+    /// Whether counter and MAC lines persist as one packed line (the
+    /// colocated policy).
+    fn packed_meta(&self) -> bool {
+        self.integrity
+            .as_ref()
+            .is_some_and(|i| i.policy().packed_meta())
+    }
+
+    /// The journal op persisting `cline`'s current counters: the packed
+    /// (counter, MAC) line under the colocated policy — one record
+    /// covering both cells — and the bare counter line otherwise.
+    fn counter_op(&self, cline: CounterLineAddr) -> JournalOp {
+        let counters = self.current_counter_line(cline);
+        match self.integrity.as_ref().filter(|i| i.policy().packed_meta()) {
+            Some(integ) => JournalOp::PackedMeta {
+                cline,
+                counters,
+                macs: integ.mac_snapshot(MacLineAddr(cline.0)),
+            },
+            None => JournalOp::CounterLine { cline, counters },
+        }
+    }
+
+    /// Touches `key` in the metadata cache (dirty or clean), counting the
+    /// hit or miss; a dirty victim it displaces joins `evicted`.
+    fn touch_meta(
+        &mut self,
+        key: MetaKey,
+        dirty: bool,
+        evicted: &mut Vec<MetaKey>,
+        stats: &mut Stats,
+    ) {
+        let integ = self.integrity.as_mut().expect("integrity enabled");
+        let (victim, hit) = integ.touch(key, dirty);
+        if hit {
+            stats.tree_cache_hits += 1;
+        } else {
+            stats.tree_cache_misses += 1;
+        }
+        evicted.extend(victim);
+    }
+
+    /// Updates the integrity metadata for a write of `data` to `line`
+    /// under `counter`: records the line's MAC, recomputes its counter
+    /// line's tree path, and touches every metadata line it changed.
+    /// A counter-atomic write passes its pair's metadata ops as `pair`:
+    /// its MAC line persists with the pair, so it stays clean in cache
+    /// and, unless the colocated packed line already carries it, its
+    /// journal op joins `pair`. A plain write's MAC stays dirty on chip
+    /// beside the dirty counter. Tree nodes stay clean when the path
+    /// rides the pair (strict, pipelined) or is never persisted
+    /// (phoenix), and dirty for eviction-time persistence otherwise
+    /// (lazy). Dirty victims join `evicted`. Returns the MAC line and
+    /// the updated path, or `None` when integrity is off.
+    fn update_metadata(
+        &mut self,
+        line: LineAddr,
+        counter: nvmm_crypto::Counter,
+        data: &LineData,
+        pair: Option<&mut Vec<JournalOp>>,
+        evicted: &mut Vec<MetaKey>,
+        stats: &mut Stats,
+    ) -> Option<(MacLineAddr, Vec<(TreeNodeAddr, DigestLine)>)> {
+        let integ = self.integrity.as_mut()?;
+        let policy = integ.policy();
+        let mline = integ.record_mac(line, counter, data);
+        let paired = pair.is_some();
+        if let Some(ops) = pair.filter(|_| !policy.packed_meta()) {
+            let macs = integ.mac_snapshot(mline);
+            ops.push(JournalOp::MacLine { mline, macs });
+        }
+        self.touch_meta(MetaKey::Mac(mline), !paired, evicted, stats);
+        let mut path = Vec::new();
+        if policy.has_tree() {
+            let cline = line.counter_line();
+            let counters = self.current_counter_line(cline).to_bytes();
+            let node_dirty = !policy.persists_path_in_pair() && !policy.phoenix();
+            path = self
+                .integrity
+                .as_mut()
+                .expect("checked above")
+                .update_tree_path(cline, &counters);
+            for &(node, _) in &path {
+                self.touch_meta(MetaKey::Node(node), node_dirty, evicted, stats);
+            }
+        }
+        Some((mline, path))
     }
 
     /// Persists `cline` together with its MAC line as one atomic unit
@@ -423,81 +564,26 @@ impl MemoryController {
         stats: &mut Stats,
     ) -> Time {
         let mline = MacLineAddr(cline.0);
-        if self
-            .integrity
-            .as_ref()
-            .is_some_and(|i| i.policy().packed_meta())
-        {
+        let packed = self.packed_meta();
+        let (guaranteed, pair) = if packed {
             // Colocated: the two halves are one packed line — a single
             // write, atomic by construction, no pair id needed.
-            let r = self
-                .queues
-                .submit_plain(&mut self.device, NvmmTarget::PackedMeta(cline), t);
-            stats.wear_line_writes += 1;
-            self.wear.record(NvmmTarget::PackedMeta(cline));
-            if r.coalesced {
-                stats.coalesced_packed_meta_writes += 1;
-            } else {
-                stats.nvmm_packed_meta_writes += 1;
-                stats.bytes_written += self.counter_line_cost(cline) + 64;
-            }
-            let integ = self.integrity.as_mut().expect("checked above");
-            integ.clean(MetaKey::Mac(mline));
-            let macs = integ.mac_snapshot(mline);
-            self.journal.push(JournalRecord {
-                submitted_at: t,
-                guaranteed_at: r.accepted,
-                pair: None,
-                domain: crate::crashmc::Domain::CounterQueue,
-                shard: self.shard_id,
-                op: JournalOp::PackedMeta {
-                    cline,
-                    counters: self.current_counter_line(cline),
-                    macs,
-                },
-            });
-            if let Some(cache) = self.counter_cache.as_mut() {
-                cache.clean(&cline);
-            }
-            return r.accepted;
-        }
-        let rc = self
-            .queues
-            .submit_plain(&mut self.device, NvmmTarget::Counter(cline), t);
-        stats.wear_line_writes += 1;
-        self.wear.record(NvmmTarget::Counter(cline));
-        if rc.coalesced {
-            stats.coalesced_counter_writes += 1;
+            let r = self.submit(NvmmTarget::PackedMeta(cline), t, stats);
+            (r.accepted, None)
         } else {
-            stats.nvmm_counter_writes += 1;
-            stats.bytes_written += self.counter_line_cost(cline);
-        }
-        let rm = self.submit_meta_write(NvmmTarget::Mac(mline), t, stats);
-        let guaranteed = rc.accepted.max(rm.accepted);
-        let pair = Some(self.next_pair);
-        self.next_pair += 1;
+            let rc = self.submit(NvmmTarget::Counter(cline), t, stats);
+            let rm = self.submit(NvmmTarget::Mac(mline), t, stats);
+            (rc.accepted.max(rm.accepted), self.next_pair())
+        };
         let integ = self.integrity.as_mut().expect("integrity enabled");
         integ.clean(MetaKey::Mac(mline));
         let macs = integ.mac_snapshot(mline);
-        self.journal.push(JournalRecord {
-            submitted_at: t,
-            guaranteed_at: guaranteed,
-            pair,
-            domain: crate::crashmc::Domain::CounterQueue,
-            shard: self.shard_id,
-            op: JournalOp::CounterLine {
-                cline,
-                counters: self.current_counter_line(cline),
-            },
-        });
-        self.journal.push(JournalRecord {
-            submitted_at: t,
-            guaranteed_at: guaranteed,
-            pair,
-            domain: crate::crashmc::Domain::CounterQueue,
-            shard: self.shard_id,
-            op: JournalOp::MacLine { mline, macs },
-        });
+        let domain = Domain::CounterQueue;
+        self.append(self.counter_op(cline), domain, pair, t, guaranteed);
+        if !packed {
+            let op = JournalOp::MacLine { mline, macs };
+            self.append(op, domain, pair, t, guaranteed);
+        }
         if let Some(cache) = self.counter_cache.as_mut() {
             cache.clean(&cline);
         }
@@ -515,10 +601,14 @@ impl MemoryController {
             .as_ref()
             .is_some_and(|i| i.is_dirty(MetaKey::Mac(MacLineAddr(cline.0))));
         if mac_dirty {
-            self.flush_counter_mac_pair(cline, t, stats)
-        } else {
-            self.write_counter_line(cline, t, stats)
+            return self.flush_counter_mac_pair(cline, t, stats);
         }
+        // Always ready on acceptance.
+        let r = self.submit(NvmmTarget::Counter(cline), t, stats);
+        let counters = self.current_counter_line(cline);
+        let op = JournalOp::CounterLine { cline, counters };
+        self.append(op, Domain::CounterQueue, None, t, r.accepted);
+        r.accepted
     }
 
     /// Persists a dirty metadata-cache victim: a MAC line drags its
@@ -531,50 +621,15 @@ impl MemoryController {
                 self.flush_counter_mac_pair(CounterLineAddr(mline.0), t, stats);
             }
             MetaKey::Node(node) => {
-                let r = self.submit_meta_write(NvmmTarget::TreeNode(node), t, stats);
-                let digests = self
-                    .integrity
-                    .as_ref()
-                    .expect("integrity enabled")
-                    .tree_snapshot(node);
-                self.journal.push(JournalRecord {
-                    submitted_at: t,
-                    guaranteed_at: r.accepted,
-                    pair: None,
-                    domain: crate::crashmc::Domain::MetadataQueue,
-                    shard: self.shard_id,
-                    op: JournalOp::TreeNode { node, digests },
-                });
+                let r = self.submit(NvmmTarget::TreeNode(node), t, stats);
+                let integ = self.integrity.as_ref().expect("integrity enabled");
+                let op = JournalOp::TreeNode {
+                    node,
+                    digests: integ.tree_snapshot(node),
+                };
+                self.append(op, Domain::MetadataQueue, None, t, r.accepted);
             }
         }
-    }
-
-    /// Submits a counter-line write (eviction or explicit writeback);
-    /// always ready on acceptance. Returns the guarantee time.
-    fn write_counter_line(&mut self, cline: CounterLineAddr, t: Time, stats: &mut Stats) -> Time {
-        let receipt = self
-            .queues
-            .submit_plain(&mut self.device, NvmmTarget::Counter(cline), t);
-        stats.wear_line_writes += 1;
-        self.wear.record(NvmmTarget::Counter(cline));
-        if receipt.coalesced {
-            stats.coalesced_counter_writes += 1;
-        } else {
-            stats.nvmm_counter_writes += 1;
-            stats.bytes_written += self.counter_line_cost(cline);
-        }
-        self.journal.push(JournalRecord {
-            submitted_at: t,
-            guaranteed_at: receipt.accepted,
-            pair: None,
-            domain: crate::crashmc::Domain::CounterQueue,
-            shard: self.shard_id,
-            op: JournalOp::CounterLine {
-                cline,
-                counters: self.current_counter_line(cline),
-            },
-        });
-        receipt.accepted
     }
 
     /// Services an LLC demand read miss issued at `t`. Returns the
@@ -635,29 +690,8 @@ impl MemoryController {
         } else {
             stats.plain_writes += 1;
         }
-        match self.design {
-            Design::NoEncryption => {
-                let r = self
-                    .queues
-                    .submit_plain(&mut self.device, NvmmTarget::Data(line), t);
-                stats.wear_line_writes += 1;
-                self.wear.record(NvmmTarget::Data(line));
-                if r.coalesced {
-                    stats.coalesced_data_writes += 1;
-                } else {
-                    stats.nvmm_data_writes += 1;
-                    stats.bytes_written += 64;
-                }
-                self.journal.push(JournalRecord {
-                    submitted_at: t,
-                    guaranteed_at: r.accepted,
-                    pair: None,
-                    domain: crate::crashmc::Domain::DataQueue,
-                    shard: self.shard_id,
-                    op: JournalOp::Plain { line, data },
-                });
-                r.accepted
-            }
+        let (t_sub, op) = match self.design {
+            Design::NoEncryption => (t, JournalOp::Plain { line, data }),
             Design::CoLocated | Design::CoLocatedCounterCache => {
                 let enc = self.engine.encrypt(line.0, &data);
                 if self.design == Design::CoLocatedCounterCache {
@@ -667,36 +701,20 @@ impl MemoryController {
                         cache.insert(line.counter_line(), (), false);
                     }
                 }
-                let t_enc = t + self.crypto_latency;
-                let r = self
-                    .queues
-                    .submit_plain(&mut self.device, NvmmTarget::Data(line), t_enc);
-                stats.wear_line_writes += 1;
-                self.wear.record(NvmmTarget::Data(line)); // widened line
-                if r.coalesced {
-                    stats.coalesced_data_writes += 1;
-                } else {
-                    stats.nvmm_data_writes += 1;
-                    stats.bytes_written += 72;
-                }
-                self.journal.push(JournalRecord {
-                    submitted_at: t_enc,
-                    guaranteed_at: r.accepted,
-                    pair: None,
-                    domain: crate::crashmc::Domain::DataQueue,
-                    shard: self.shard_id,
-                    op: JournalOp::CoLocated {
-                        line,
-                        ciphertext: enc.ciphertext,
-                        counter: enc.counter,
-                    },
-                });
-                r.accepted
+                let op = JournalOp::CoLocated {
+                    line,
+                    ciphertext: enc.ciphertext,
+                    counter: enc.counter,
+                };
+                (t + self.crypto_latency, op)
             }
             Design::Ideal | Design::Fca | Design::Sca | Design::UnsafeNoAtomicity => {
-                self.writeback_separate(line, data, counter_atomic, t, stats)
+                return self.writeback_separate(line, data, counter_atomic, t, stats);
             }
-        }
+        };
+        let r = self.submit(NvmmTarget::Data(line), t_sub, stats);
+        self.append(op, Domain::DataQueue, None, t_sub, r.accepted);
+        r.accepted
     }
 
     fn writeback_separate(
@@ -714,17 +732,16 @@ impl MemoryController {
         // standard per-line minor-counter scheme — consecutive values
         // keep counter lines compressible and, with stop-loss, make the
         // post-crash candidate window bounded).
-        let current = self.current_counter_line(cline).get(slot);
-        let counter = current.bump();
-        let ciphertext = self.engine.encrypt_with(line.0, &data, counter);
-        let enc = nvmm_crypto::EncryptedWrite {
-            ciphertext,
+        let counter = self.current_counter_line(cline).get(slot).bump();
+        let data_op = JournalOp::Encrypted {
+            line,
+            ciphertext: self.engine.encrypt_with(line.0, &data, counter),
             counter,
         };
         self.counter_state
             .entry(cline)
             .or_default()
-            .set(slot, enc.counter);
+            .set(slot, counter);
         let t_enq = t + self.crypto_latency;
 
         // Counter cache bookkeeping: write probes fill on miss without
@@ -741,323 +758,23 @@ impl MemoryController {
                 .integrity
                 .as_ref()
                 .is_some_and(|i| i.policy().persists_path_in_pair());
-        // Colocated: the pair's counter half is the packed
-        // (counter, MAC) line — one metadata write instead of two.
-        let packed = self
-            .integrity
-            .as_ref()
-            .is_some_and(|i| i.policy().packed_meta());
 
-        if enforce_ca {
-            let counter_target = if packed {
-                NvmmTarget::PackedMeta(cline)
-            } else {
-                NvmmTarget::Counter(cline)
-            };
-            let r = self.queues.submit_counter_atomic(
-                &mut self.device,
-                NvmmTarget::Data(line),
-                counter_target,
-                t_enq,
-            );
-            if r.pairing_wait > Time::ZERO {
-                stats.pairing_stalls += 1;
-                stats.pairing_stall += r.pairing_wait;
-            }
-            stats.nvmm_data_writes += 1;
-            stats.bytes_written += 64;
-            stats.wear_line_writes += 1;
-            self.wear.record(NvmmTarget::Data(line));
-            stats.wear_line_writes += 1;
-            self.wear.record(counter_target);
-            if r.counter_coalesced {
-                if packed {
-                    stats.coalesced_packed_meta_writes += 1;
-                } else {
-                    stats.coalesced_counter_writes += 1;
-                }
-            } else if packed {
-                stats.nvmm_packed_meta_writes += 1;
-                stats.bytes_written += self.counter_line_cost(cline) + 64;
-            } else {
-                stats.nvmm_counter_writes += 1;
-                stats.bytes_written += self.counter_line_cost(cline);
-            }
-            // The pair persisted this counter line's current snapshot;
-            // the cached copy is clean.
-            if let Some(cache) = self.counter_cache.as_mut() {
-                cache.clean(&cline);
-            }
-            // Integrity metadata rides the pair: the MAC line always;
-            // the leaf-to-root tree path too under strict, where the
-            // guarantee additionally serializes through the root-update
-            // engine. All pair members must share one guarantee instant
-            // or the ready-bit atomicity tears.
-            let mut guaranteed = r.ready;
-            let mut pair_ops: Vec<JournalOp> = Vec::new();
-            let mut bug_ops: Vec<(Time, JournalOp)> = Vec::new();
-            let mut evicted: Vec<MetaKey> = Vec::new();
-            if self.integrity.is_some() {
-                let policy = self.integrity.as_ref().expect("checked").policy();
-                let mline =
-                    self.integrity
-                        .as_mut()
-                        .expect("checked")
-                        .record_mac(line, enc.counter, &data);
-                if !packed {
-                    let rm = self.submit_meta_write(NvmmTarget::Mac(mline), t_enq, stats);
-                    guaranteed = guaranteed.max(rm.accepted);
-                }
-                let counters_bytes = self.current_counter_line(cline).to_bytes();
-                {
-                    let integ = self.integrity.as_mut().expect("checked");
-                    if !packed {
-                        pair_ops.push(JournalOp::MacLine {
-                            mline,
-                            macs: integ.mac_snapshot(mline),
-                        });
-                    }
-                    // Packed or separate, the MAC line's cached copy just
-                    // persisted with the pair: resident and clean.
-                    let (victim, hit) = integ.touch(MetaKey::Mac(mline), false);
-                    if hit {
-                        stats.tree_cache_hits += 1;
-                    } else {
-                        stats.tree_cache_misses += 1;
-                    }
-                    evicted.extend(victim);
-                }
-                if policy.has_tree() {
-                    let in_pair = policy.persists_path_in_pair();
-                    // Strict/pipelined persist the path with the pair, so
-                    // the cached nodes stay clean; lazy leaves them dirty
-                    // for eviction-time persistence; phoenix keeps them
-                    // clean too — its tree is reconstructible state that
-                    // never reaches NVMM.
-                    let node_dirty = !in_pair && !policy.phoenix();
-                    let path = {
-                        let integ = self.integrity.as_mut().expect("checked");
-                        let path = integ.update_tree_path(cline, &counters_bytes);
-                        for (node, _) in &path {
-                            let (victim, hit) = integ.touch(MetaKey::Node(*node), node_dirty);
-                            if hit {
-                                stats.tree_cache_hits += 1;
-                            } else {
-                                stats.tree_cache_misses += 1;
-                            }
-                            evicted.extend(victim);
-                        }
-                        path
-                    };
-                    if in_pair {
-                        let path_len = path.len();
-                        let parent_first = self.injected_bug == Some(InjectedBug::ParentFirst);
-                        let drop_dependency =
-                            self.injected_bug == Some(InjectedBug::DropDependency);
-                        for (i, (node, digests)) in path.iter().enumerate() {
-                            let rn =
-                                self.submit_meta_write(NvmmTarget::TreeNode(*node), t_enq, stats);
-                            let op = JournalOp::TreeNode {
-                                node: *node,
-                                digests: *digests,
-                            };
-                            let bugged = parent_first || (drop_dependency && i + 1 == path_len);
-                            if bugged {
-                                bug_ops.push((rn.accepted, op));
-                            } else {
-                                guaranteed = guaranteed.max(rn.accepted);
-                                pair_ops.push(op);
-                            }
-                        }
-                        if policy.serializes_root() {
-                            if !parent_first {
-                                let integ = self.integrity.as_mut().expect("checked");
-                                if integ.root_free > guaranteed {
-                                    stats.root_update_stalls += 1;
-                                    stats.root_update_stall += integ.root_free - guaranteed;
-                                    guaranteed = integ.root_free;
-                                }
-                                guaranteed += self.crypto_latency;
-                                integ.root_free = guaranteed;
-                            }
-                        } else if !drop_dependency {
-                            // Pipelined: in-cache dependency tracking
-                            // (Freij et al.) only clamps this pair's
-                            // guarantee to never run ahead of the previous
-                            // pair's — root writes overlap instead of
-                            // serializing through the root engine, so no
-                            // crypto latency is added and no stall taken.
-                            let integ = self.integrity.as_mut().expect("checked");
-                            if integ.root_free > guaranteed {
-                                stats.root_update_overlaps += 1;
-                                guaranteed = integ.root_free;
-                            }
-                            integ.root_free = guaranteed;
-                        }
-                    }
-                    if policy.phoenix() {
-                        let seq = self
-                            .integrity
-                            .as_mut()
-                            .expect("checked")
-                            .phoenix_epoch(cline);
-                        if let Some(seq) = seq {
-                            let counters = self.current_counter_line(cline);
-                            let (node, digests) =
-                                crate::integrity::phoenix_summary(cline, &counters, seq);
-                            let rs =
-                                self.submit_meta_write(NvmmTarget::TreeNode(node), t_enq, stats);
-                            stats.phoenix_epoch_writes += 1;
-                            let op = JournalOp::TreeNode { node, digests };
-                            if self.injected_bug == Some(InjectedBug::StaleEpoch) {
-                                bug_ops.push((rs.accepted, op));
-                            } else {
-                                guaranteed = guaranteed.max(rs.accepted);
-                                pair_ops.push(op);
-                            }
-                        }
-                    }
-                }
-            }
-            let pair = Some(self.next_pair);
-            self.next_pair += 1;
-            self.journal.push(JournalRecord {
-                submitted_at: t_enq,
-                guaranteed_at: guaranteed,
-                pair,
-                domain: crate::crashmc::Domain::Pairing,
-                shard: self.shard_id,
-                op: JournalOp::Encrypted {
-                    line,
-                    ciphertext: enc.ciphertext,
-                    counter: enc.counter,
-                },
-            });
-            let counter_op = if self
-                .integrity
-                .as_ref()
-                .is_some_and(|i| i.policy().packed_meta())
-            {
-                // Colocated (SecPM): the counter and MAC ride one packed
-                // metadata line, so the pair journals a single record
-                // covering both cells.
-                let macs = self
-                    .integrity
-                    .as_ref()
-                    .expect("checked")
-                    .mac_snapshot(MacLineAddr(cline.0));
-                JournalOp::PackedMeta {
-                    cline,
-                    counters: self.current_counter_line(cline),
-                    macs,
-                }
-            } else {
-                JournalOp::CounterLine {
-                    cline,
-                    counters: self.current_counter_line(cline),
-                }
-            };
-            self.journal.push(JournalRecord {
-                submitted_at: t_enq,
-                guaranteed_at: guaranteed,
-                pair,
-                domain: crate::crashmc::Domain::Pairing,
-                shard: self.shard_id,
-                op: counter_op,
-            });
-            for op in pair_ops {
-                self.journal.push(JournalRecord {
-                    submitted_at: t_enq,
-                    guaranteed_at: guaranteed,
-                    pair,
-                    domain: crate::crashmc::Domain::Pairing,
-                    shard: self.shard_id,
-                    op,
-                });
-            }
-            // The injected bug: tree-path updates journaled outside the
-            // pair, guaranteed the instant the metadata queue accepted
-            // them — parents race ahead of the children they digest.
-            for (g, op) in bug_ops {
-                self.journal.push(JournalRecord {
-                    submitted_at: t_enq,
-                    guaranteed_at: g,
-                    pair: None,
-                    domain: crate::crashmc::Domain::MetadataQueue,
-                    shard: self.shard_id,
-                    op,
-                });
-            }
-            for key in evicted {
-                self.persist_meta_eviction(key, t_enq, stats);
-            }
-            guaranteed
-        } else {
+        if !enforce_ca {
             // Plain data write; the counter stays dirty on chip until a
             // counter_cache_writeback or an eviction (§4.2's reordering
             // window).
-            let r = self
-                .queues
-                .submit_plain(&mut self.device, NvmmTarget::Data(line), t_enq);
-            stats.wear_line_writes += 1;
-            self.wear.record(NvmmTarget::Data(line));
-            if r.coalesced {
-                stats.coalesced_data_writes += 1;
-            } else {
-                stats.nvmm_data_writes += 1;
-                stats.bytes_written += 64;
-            }
+            let r = self.submit(NvmmTarget::Data(line), t_enq, stats);
             if let Some(cache) = self.counter_cache.as_mut() {
                 cache.get_mut(&cline, true);
             }
-            self.journal.push(JournalRecord {
-                submitted_at: t_enq,
-                guaranteed_at: r.accepted,
-                pair: None,
-                domain: crate::crashmc::Domain::DataQueue,
-                shard: self.shard_id,
-                op: JournalOp::Encrypted {
-                    line,
-                    ciphertext: enc.ciphertext,
-                    counter: enc.counter,
-                },
-            });
+            self.append(data_op, Domain::DataQueue, None, t_enq, r.accepted);
             // Integrity metadata stays dirty on chip alongside the dirty
             // counter: the MAC line (and, under lazy, the tree path)
             // reaches NVMM with the counter's own flush or on eviction.
-            if self.integrity.is_some() {
-                let policy = self.integrity.as_ref().expect("checked").policy();
-                let counters_bytes = self.current_counter_line(cline).to_bytes();
-                let mut evicted: Vec<MetaKey> = Vec::new();
-                {
-                    let integ = self.integrity.as_mut().expect("checked");
-                    let mline = integ.record_mac(line, enc.counter, &data);
-                    let (victim, hit) = integ.touch(MetaKey::Mac(mline), true);
-                    if hit {
-                        stats.tree_cache_hits += 1;
-                    } else {
-                        stats.tree_cache_misses += 1;
-                    }
-                    evicted.extend(victim);
-                    if policy.has_tree() {
-                        // Phoenix never persists the tree, so its nodes
-                        // stay clean in cache; other policies leave them
-                        // dirty for eviction-time persistence.
-                        let node_dirty = !policy.phoenix();
-                        for (node, _) in integ.update_tree_path(cline, &counters_bytes) {
-                            let (victim, hit) = integ.touch(MetaKey::Node(node), node_dirty);
-                            if hit {
-                                stats.tree_cache_hits += 1;
-                            } else {
-                                stats.tree_cache_misses += 1;
-                            }
-                            evicted.extend(victim);
-                        }
-                    }
-                }
-                for key in evicted {
-                    self.persist_meta_eviction(key, t_enq, stats);
-                }
+            let mut evicted = Vec::new();
+            self.update_metadata(line, counter, &data, None, &mut evicted, stats);
+            for key in evicted {
+                self.persist_meta_eviction(key, t_enq, stats);
             }
             // Stop-loss (Osiris-style): after `n` un-persisted counter
             // bumps on this counter line, force a write-back so the
@@ -1073,8 +790,126 @@ impl MemoryController {
                     }
                 }
             }
-            r.accepted
+            return r.accepted;
         }
+
+        // Colocated: the pair's counter half is the packed
+        // (counter, MAC) line — one metadata write instead of two.
+        let packed = self.packed_meta();
+        let counter_target = if packed {
+            NvmmTarget::PackedMeta(cline)
+        } else {
+            NvmmTarget::Counter(cline)
+        };
+        let r = self.queues.submit_counter_atomic(
+            &mut self.device,
+            NvmmTarget::Data(line),
+            counter_target,
+            t_enq,
+        );
+        if r.pairing_wait > Time::ZERO {
+            stats.pairing_stalls += 1;
+            stats.pairing_stall += r.pairing_wait;
+        }
+        self.charge(NvmmTarget::Data(line), false, stats);
+        self.charge(counter_target, r.counter_coalesced, stats);
+        // The pair persisted this counter line's current snapshot; the
+        // cached copy is clean.
+        if let Some(cache) = self.counter_cache.as_mut() {
+            cache.clean(&cline);
+        }
+        // Integrity metadata rides the pair: the MAC line always; the
+        // leaf-to-root tree path too under strict, where the guarantee
+        // additionally serializes through the root-update engine. All
+        // pair members must share one guarantee instant or the
+        // ready-bit atomicity tears.
+        let mut guaranteed = r.ready;
+        let mut evicted = Vec::new();
+        // The pair's metadata members, and the tree nodes an injected
+        // bug journals outside the pair instead, guaranteed the instant
+        // the metadata queue accepted them.
+        let mut pair_meta: Vec<JournalOp> = Vec::new();
+        let mut bug_ops: Vec<(Time, JournalOp)> = Vec::new();
+        let meta = self.update_metadata(
+            line,
+            counter,
+            &data,
+            Some(&mut pair_meta),
+            &mut evicted,
+            stats,
+        );
+        let pair_head = [data_op, self.counter_op(cline)];
+        if let Some((mline, path)) = meta {
+            let policy = self.integrity.as_ref().expect("checked").policy();
+            if !packed {
+                let rm = self.submit(NvmmTarget::Mac(mline), t_enq, stats);
+                guaranteed = guaranteed.max(rm.accepted);
+            }
+            // Tree nodes written for this pair: its leaf-to-root path
+            // (strict, pipelined) or a phoenix epoch summary.
+            let in_pair = policy.persists_path_in_pair();
+            let mut nodes = if in_pair { path } else { Vec::new() };
+            if policy.phoenix() {
+                let integ = self.integrity.as_mut().expect("checked");
+                if let Some(seq) = integ.phoenix_epoch(cline) {
+                    let counters = self.current_counter_line(cline);
+                    nodes.push(crate::integrity::phoenix_summary(cline, &counters, seq));
+                    stats.phoenix_epoch_writes += 1;
+                }
+            }
+            let bug = self.injected_bug;
+            let root = nodes.len().wrapping_sub(1);
+            for (i, (node, digests)) in nodes.into_iter().enumerate() {
+                let rn = self.submit(NvmmTarget::TreeNode(node), t_enq, stats);
+                let op = JournalOp::TreeNode { node, digests };
+                let bugged = match bug {
+                    Some(InjectedBug::ParentFirst) => in_pair,
+                    Some(InjectedBug::DropDependency) => in_pair && i == root,
+                    Some(InjectedBug::StaleEpoch) => policy.phoenix(),
+                    None => false,
+                };
+                if bugged {
+                    bug_ops.push((rn.accepted, op));
+                } else {
+                    guaranteed = guaranteed.max(rn.accepted);
+                    pair_meta.push(op);
+                }
+            }
+            let integ = self.integrity.as_mut().expect("checked");
+            if policy.serializes_root() {
+                if bug != Some(InjectedBug::ParentFirst) {
+                    if integ.root_free > guaranteed {
+                        stats.root_update_stalls += 1;
+                        stats.root_update_stall += integ.root_free - guaranteed;
+                        guaranteed = integ.root_free;
+                    }
+                    guaranteed += self.crypto_latency;
+                    integ.root_free = guaranteed;
+                }
+            } else if in_pair && bug != Some(InjectedBug::DropDependency) {
+                // Pipelined: in-cache dependency tracking (Freij et al.)
+                // only clamps this pair's guarantee to never run ahead of
+                // the previous pair's — root writes overlap instead of
+                // serializing through the root engine, so no crypto
+                // latency is added and no stall taken.
+                if integ.root_free > guaranteed {
+                    stats.root_update_overlaps += 1;
+                    guaranteed = integ.root_free;
+                }
+                integ.root_free = guaranteed;
+            }
+        }
+        let pair = self.next_pair();
+        for op in pair_head.into_iter().chain(pair_meta) {
+            self.append(op, Domain::Pairing, pair, t_enq, guaranteed);
+        }
+        for (g, op) in bug_ops {
+            self.append(op, Domain::MetadataQueue, None, t_enq, g);
+        }
+        for key in evicted {
+            self.persist_meta_eviction(key, t_enq, stats);
+        }
+        guaranteed
     }
 
     /// `counter_cache_writeback()` for the counter line covering `line`
@@ -1664,5 +1499,118 @@ mod tests {
         let err = crate::integrity::verify_image(&img, spec, key)
             .expect_err("the stale epoch summary must be flagged");
         assert!(err.contains("stale epoch"), "{err}");
+    }
+
+    /// Every controller write is charged exactly once: one wear record,
+    /// one region counter (fresh or coalesced) and its byte cost. Runs
+    /// one fixed mix of plain, counter-atomic and
+    /// `counter_cache_writeback` writes through every design and every
+    /// SCA integrity variant, with caches small enough that counter and
+    /// metadata evictions persist lines mid-run, and pins the stats,
+    /// journal and final image each configuration produced.
+    #[test]
+    fn write_path_accounting_is_conserved_and_pinned() {
+        use crate::config::IntegrityPolicy;
+        let small = |mut cfg: SimConfig| {
+            cfg.counter_cache.capacity_bytes = 1024;
+            cfg.metadata_cache.capacity_bytes = 256;
+            cfg.metadata_cache.ways = 2;
+            cfg.phoenix_epoch_every = 1;
+            cfg
+        };
+        let sca = SimConfig::single_core(Design::Sca);
+        let mut cases: Vec<(String, SimConfig)> = Design::ALL
+            .iter()
+            .map(|&d| (format!("{d:?}"), SimConfig::single_core(d)))
+            .collect();
+        for policy in &IntegrityPolicy::ALL[1..] {
+            cases.push((
+                format!("Sca+{policy:?}"),
+                sca.clone().with_integrity(*policy),
+            ));
+        }
+        let mut stop_loss = sca.clone();
+        stop_loss.stop_loss = Some(2);
+        cases.push(("Sca+stop_loss".into(), stop_loss));
+        let mut compressed = sca.clone();
+        compressed.compress_counters = true;
+        cases.push(("Sca+compress".into(), compressed));
+        cases.push((
+            "Sca+ParentFirst".into(),
+            sca.clone()
+                .with_integrity(IntegrityPolicy::Strict)
+                .with_tree_bug(),
+        ));
+        cases.push((
+            "Sca+DropDependency".into(),
+            sca.clone()
+                .with_integrity(IntegrityPolicy::Pipelined)
+                .with_pipeline_bug(),
+        ));
+        cases.push((
+            "Sca+StaleEpoch".into(),
+            sca.with_integrity(IntegrityPolicy::Phoenix)
+                .with_phoenix_bug(),
+        ));
+
+        // (stats JSON digest, journal digest, final image fingerprint,
+        // journal length) per case: a change to the order of queue
+        // submissions, metadata touches or journal appends, or to what
+        // a write is charged, moves at least one of them.
+        #[rustfmt::skip]
+        let pinned: [(&str, u64, u64, u128, usize); 18] = [
+            ("NoEncryption", 0xe460e3973eec09e1, 0x13ca77a99aab94d9, 0xa14723cc3082397e08fadd93b04e1368, 56),
+            ("Ideal", 0xf0e3e168b6b160a2, 0x1a09e8e611c1cbf7, 0xfbb00cd88488e0543aaef0aef9fd2ad2, 83),
+            ("Sca", 0x735ae4ee5ee52052, 0x6cfd5ae9f5f3e4ce, 0x377573b3c5640dfc237be79dd6ab6506, 93),
+            ("Fca", 0xb1be59766228e5fd, 0x07e15fbd0166139f, 0x4546e50e60608e02c3f11599687f3704, 112),
+            ("CoLocated", 0xedb57fd9d9262412, 0x6d8818087f8e0ddf, 0x03d80f1b475a84124d2e1eb3bccae324, 56),
+            ("CoLocatedCounterCache", 0xedb57fd9d9262412, 0x6d8818087f8e0ddf, 0x03d80f1b475a84124d2e1eb3bccae324, 56),
+            ("UnsafeNoAtomicity", 0xf0e3e168b6b160a2, 0x1a09e8e611c1cbf7, 0xfbb00cd88488e0543aaef0aef9fd2ad2, 83),
+            ("Sca+MacOnly", 0x7010816f8249872d, 0x2935e42c2c0c96e4, 0x914aae037780311f1912afdbf7121f56, 148),
+            ("Sca+Lazy", 0x69bf253f1b7eec86, 0x06a9ee19290d3b03, 0x4ca2e16a5bf2ac622a83103766a8906a, 724),
+            ("Sca+Strict", 0xa5f11cf7aa147c3b, 0x78247e939d098583, 0x4ca2e16a5bf2ac622a83103766a8906a, 728),
+            ("Sca+Pipelined", 0x110cb1675c8fec53, 0x5d2bcc84f0250a76, 0x4ca2e16a5bf2ac622a83103766a8906a, 728),
+            ("Sca+Phoenix", 0x761138ae64d6af2f, 0xeeb2a5e9d2b9a10e, 0x7bd5344e44f0eb71cf32958b9755f92a, 184),
+            ("Sca+Colocated", 0x78c75bfd5d2077bd, 0xf7f084ce01690d20, 0x914aae037780311f1912afdbf7121f56, 102),
+            ("Sca+stop_loss", 0xc2ca3a4fbeedd4bf, 0x4c1d20d5704bc09f, 0x244a9ed8c9b85f2d3863c52ebe070f42, 97),
+            ("Sca+compress", 0x5c63a7a9770762fe, 0x6cfd5ae9f5f3e4ce, 0x377573b3c5640dfc237be79dd6ab6506, 93),
+            ("Sca+ParentFirst", 0x9cdae30c4dfc87f7, 0x59c06bd2d8a51340, 0x4ca2e16a5bf2ac622a83103766a8906a, 728),
+            ("Sca+DropDependency", 0x9cdae30c4dfc87f7, 0x8919c37cc9c461b0, 0x4ca2e16a5bf2ac622a83103766a8906a, 728),
+            ("Sca+StaleEpoch", 0x761138ae64d6af2f, 0xd229d7236cb7b3ef, 0x7bd5344e44f0eb71cf32958b9755f92a, 184),
+        ];
+        assert_eq!(cases.len(), pinned.len());
+        for ((name, cfg), want) in cases.into_iter().zip(pinned) {
+            assert_eq!(name, want.0);
+            let mut c = MemoryController::new(&small(cfg));
+            let mut s = Stats::new(1);
+            for i in 0..48u64 {
+                let line = LineAddr((i * 37) % 400);
+                let t = Time::from_ns(i * 25);
+                c.writeback(line, [i as u8; 64], i % 3 == 1, t, &mut s);
+                if i % 6 == 0 {
+                    // Same line again while the first is still queued.
+                    c.writeback(line, [!(i as u8); 64], false, t + Time::from_ns(1), &mut s);
+                }
+                if i % 4 == 3 {
+                    c.counter_writeback(line, t + Time::from_ns(5), &mut s);
+                }
+            }
+            let requests = s.nvmm_writes() + s.coalesced_writes();
+            assert_eq!(s.wear_line_writes, requests, "{name}: stats wear");
+            assert_eq!(
+                c.wear_report(1).total_writes,
+                requests,
+                "{name}: wear tracker"
+            );
+            let stats = nvmm_json::ToJson::to_json(&s).to_compact();
+            let journal = format!("{:?}", c.journal());
+            let got = (
+                crate::integrity::digest64(stats.as_bytes()),
+                crate::integrity::digest64(journal.as_bytes()),
+                c.build_image(None).fingerprint(),
+                c.journal_len(),
+            );
+            assert_eq!(got, (want.1, want.2, want.3, want.4), "{name}");
+        }
     }
 }

@@ -54,8 +54,8 @@
 //! * `mac-only` — no tree at all; the bound on replay is per-line.
 //!
 //! [`verify_image`] is the post-crash oracle the model checker runs on
-//! every enumerated image; [`rebuild_tree`] is the lazy-policy recovery
-//! path whose cost the recovery figures report.
+//! every enumerated image; [`reconstruct_tree`] is the phoenix and
+//! lazy recovery path whose cost the recovery figures report.
 
 use crate::addr::{CounterLineAddr, LineAddr, MacLineAddr, TreeNodeAddr};
 use crate::cache::SetAssocCache;
@@ -424,38 +424,13 @@ impl IntegrityState {
 }
 
 /// Rebuilds the integrity tree bottom-up from an image's persisted
-/// counter lines — the lazy policy's recovery path (stale or missing
-/// interior nodes are simply recomputed). Returns the root node and the
-/// number of nodes rebuilt.
-pub fn rebuild_tree(img: &NvmmImage, levels: u32) -> (DigestLine, usize) {
-    let mut level: FxHashMap<u64, DigestLine> = FxHashMap::default();
-    for (cline, counters) in img.counter_lines() {
-        let parent = parent_of(0, cline.0);
-        level
-            .entry(parent.index)
-            .or_default()
-            .set(slot_in_parent(cline.0), digest64(&counters.to_bytes()));
-    }
-    let mut rebuilt = level.len();
-    for _ in 2..=levels.max(1) {
-        let mut next: FxHashMap<u64, DigestLine> = FxHashMap::default();
-        for (index, node) in &level {
-            next.entry(index >> 3)
-                .or_default()
-                .set(slot_in_parent(*index), digest64(&node.to_bytes()));
-        }
-        rebuilt += next.len();
-        level = next;
-    }
-    (level.get(&0).copied().unwrap_or_default(), rebuilt)
-}
-
-/// Phoenix recovery: materializes the *entire* interior node set from
-/// an image's persisted counter lines, sorted by `(level, index)`.
-/// Depends only on the counter region, so running it on its own output
-/// image is a fixpoint: re-deriving the tree from the same leaves
-/// reproduces it node for node (the property the recovery proptests
-/// pin down). The root, when present, equals [`rebuild_tree`]'s.
+/// counter lines, materializing the *entire* interior node set sorted
+/// by `(level, index)` — the recovery path of phoenix (the tree is
+/// never persisted) and lazy (stale or missing interior nodes are
+/// simply recomputed). Depends only on the counter region, so running
+/// it on its own output image is a fixpoint: re-deriving the tree from
+/// the same leaves reproduces it node for node (the property the
+/// recovery proptests pin down).
 pub fn reconstruct_tree(img: &NvmmImage, levels: u32) -> Vec<(TreeNodeAddr, DigestLine)> {
     // Sorting the leaves once makes every subsequent level's child list
     // sorted by construction (a parent's index is its child's `>> 3`),
@@ -513,6 +488,16 @@ fn fold_sorted_children(
     }
 }
 
+/// The root of the tree [`reconstruct_tree`] rebuilds from `img`: the
+/// node at `(levels, 0)`, or the default line when no counter line
+/// persisted.
+fn rebuilt_root(img: &NvmmImage, levels: u32) -> DigestLine {
+    let nodes = reconstruct_tree(img, levels);
+    nodes
+        .binary_search_by_key(&(levels, 0), |(n, _)| (n.level, n.index))
+        .map_or_else(|_| DigestLine::new(), |i| nodes[i].1)
+}
+
 /// The post-crash integrity oracle: checks one enumerated NVMM image
 /// against the invariants `spec`'s policy promises to maintain across
 /// any crash. Returns a description of the first violation found.
@@ -533,7 +518,7 @@ fn fold_sorted_children(
 ///   pair (a stale epoch). Recovery then reconstructs the interior set
 ///   ([`reconstruct_tree`]); its cost is priced by [`recovery_cost`].
 /// * **Tree** (lazy): nothing to check — recovery rebuilds interior
-///   nodes from the leaves ([`rebuild_tree`], priced by
+///   nodes from the leaves ([`reconstruct_tree`], priced by
 ///   [`recovery_cost`]), so persisted interiors are ignored.
 pub fn verify_image(img: &NvmmImage, spec: IntegritySpec, key: [u8; 16]) -> Result<(), String> {
     if !spec.policy.enabled() {
@@ -792,7 +777,7 @@ impl FreshnessRef {
     /// tampers with.
     pub fn capture(img: &NvmmImage, spec: IntegritySpec) -> Self {
         let root = if spec.policy.has_tree() {
-            rebuild_tree(img, spec.levels).0
+            rebuilt_root(img, spec.levels)
         } else {
             DigestLine::new()
         };
@@ -875,8 +860,7 @@ pub fn verify_image_attack_with(
             }
         }
     } else if spec.policy.has_tree() {
-        let (root, _) = rebuild_tree(img, spec.levels);
-        if root != fresh.root {
+        if rebuilt_root(img, spec.levels) != fresh.root {
             return AttackVerdict::Detected {
                 blame: root_freshness_blame(),
             };
@@ -966,7 +950,7 @@ pub struct DeltaVerifier {
     summaries: FxHashMap<TreeNodeAddr, (CounterLineAddr, u64, u64)>,
     /// Reverse index: which summary nodes claim each counter line.
     claims: FxHashMap<CounterLineAddr, Vec<TreeNodeAddr>>,
-    /// Per-level node maps of [`rebuild_tree`]'s bottom-up fold
+    /// Per-level node maps of [`reconstruct_tree`]'s bottom-up fold
     /// (`acc[0]` holds level-1 nodes), maintained by dirty-path
     /// propagation when the policy consults the rebuilt root
     /// (lazy/strict/pipelined freshness). Empty otherwise.
@@ -1211,7 +1195,7 @@ impl DeltaVerifier {
     }
 
     /// The accumulator's current root — equal to
-    /// `rebuild_tree(img, spec.levels).0` for the notified image.
+    /// [`rebuilt_root`] of the notified image.
     fn root(&self) -> DigestLine {
         self.acc
             .last()
@@ -1324,7 +1308,7 @@ impl DeltaVerifier {
 
     /// Propagates `cline`'s (possibly cleared) leaf digest up the root
     /// accumulator, removing nodes whose last child vanished — exactly
-    /// [`rebuild_tree`]'s presence rule (a node exists iff it has a
+    /// [`reconstruct_tree`]'s presence rule (a node exists iff it has a
     /// present child; [`digest64`] never yields the reserved 0).
     fn propagate_leaf(&mut self, img: &NvmmImage, cline: CounterLineAddr) {
         let mut value = if img.counter_line_present(cline) {
@@ -1369,16 +1353,14 @@ impl DeltaVerifier {
 ///
 /// * **phoenix** — the full interior set ([`reconstruct_tree`]): the
 ///   tree is never persisted, so recovery rebuilds all of it.
-/// * **lazy** — the same bottom-up rebuild ([`rebuild_tree`]): stale
-///   persisted interiors can't be trusted after a crash.
+/// * **lazy** — the same bottom-up rebuild: stale persisted interiors
+///   can't be trusted after a crash.
 /// * **strict/pipelined** — `0`: every persisted node verified against
 ///   its children already; the tree is usable as-is.
 /// * **mac-only/colocated/none** — `0`: there is no tree.
 pub fn recovery_cost(img: &NvmmImage, spec: IntegritySpec) -> u64 {
-    if spec.policy.phoenix() {
+    if spec.policy.has_tree() && !spec.policy.persists_path_in_pair() {
         reconstruct_tree(img, spec.levels).len() as u64
-    } else if spec.policy.has_tree() && !spec.policy.persists_path_in_pair() {
-        rebuild_tree(img, spec.levels).1 as u64
     } else {
         0
     }
@@ -1498,7 +1480,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_tree_matches_strict_path_updates() {
+    fn reconstruct_tree_matches_strict_path_updates() {
         let cfg = SimConfig::single_core(crate::config::Design::Sca)
             .with_integrity(IntegrityPolicy::Strict);
         let mut st = IntegrityState::from_config(&cfg).expect("enabled");
@@ -1509,9 +1491,9 @@ mod tests {
             img.write_counter_line(CounterLineAddr(i * 9), cl);
             st.update_tree_path(CounterLineAddr(i * 9), &cl.to_bytes());
         }
-        let (root, rebuilt) = rebuild_tree(&img, st.levels());
+        let rebuilt = reconstruct_tree(&img, st.levels()).len();
         assert_eq!(
-            root,
+            rebuilt_root(&img, st.levels()),
             st.tree_snapshot(TreeNodeAddr {
                 level: st.levels(),
                 index: 0
@@ -1522,7 +1504,7 @@ mod tests {
     }
 
     #[test]
-    fn reconstruct_tree_agrees_with_rebuild_root() {
+    fn reconstruct_tree_is_sorted_and_ends_at_the_root() {
         let mut img = NvmmImage::new();
         for i in [0u64, 3, 9, 70] {
             let mut cl = CounterLine::new();
@@ -1535,8 +1517,9 @@ mod tests {
         assert!(nodes
             .windows(2)
             .all(|w| (w[0].0.level, w[0].0.index) < (w[1].0.level, w[1].0.index)));
-        let (root, rebuilt) = rebuild_tree(&img, levels);
-        assert_eq!(nodes.len(), rebuilt);
+        // Level 1 holds nodes 0, 1 and 8; level 2 nodes 0 and 1; levels
+        // 3 and 4 node 0 each.
+        assert_eq!(nodes.len(), 3 + 2 + 1 + 1);
         let last = nodes.last().expect("non-empty");
         assert_eq!(
             last.0,
@@ -1545,9 +1528,10 @@ mod tests {
                 index: 0
             }
         );
-        assert_eq!(last.1, root, "reconstruction reaches the same root");
-        // Empty image: nothing to reconstruct.
+        assert_eq!(last.1, rebuilt_root(&img, levels));
+        // Empty image: nothing to reconstruct, default root.
         assert!(reconstruct_tree(&NvmmImage::new(), levels).is_empty());
+        assert_eq!(rebuilt_root(&NvmmImage::new(), levels), DigestLine::new());
     }
 
     #[test]
@@ -1824,7 +1808,6 @@ mod tests {
         let phoenix = at(IntegrityPolicy::Phoenix);
         let lazy = at(IntegrityPolicy::Lazy);
         assert_eq!(phoenix, reconstruct_tree(&img, 4).len() as u64);
-        assert_eq!(lazy, rebuild_tree(&img, 4).1 as u64);
         assert_eq!(phoenix, lazy, "same interior set, different trust model");
         assert!(phoenix > 0);
         for free in [

@@ -180,34 +180,6 @@ impl ToJson for Timeline {
     }
 }
 
-/// Cumulative counter values at the last closed epoch boundary.
-#[derive(Debug, Clone, Copy, Default)]
-struct Baseline {
-    nvmm_data_writes: u64,
-    nvmm_counter_writes: u64,
-    coalesced_data_writes: u64,
-    coalesced_counter_writes: u64,
-    pairing_stalls: u64,
-    counter_cache_hits: u64,
-    counter_cache_misses: u64,
-    counter_cache_evictions: u64,
-    counter_cache_writebacks: u64,
-    nvmm_metadata_writes: u64,
-    bytes_written: u64,
-    wear_line_writes: u64,
-}
-
-impl Baseline {
-    fn of(stats: &Stats) -> Self {
-        let mut b = Baseline::default();
-        macro_rules! copy {
-            ($($name:ident),*) => { $( b.$name = stats.$name; )* };
-        }
-        epoch_delta_fields!(copy);
-        b
-    }
-}
-
 /// The sampler the replay engine drives while telemetry is enabled.
 ///
 /// [`observe`](EpochSampler::observe) is called after every trace event
@@ -220,7 +192,9 @@ impl Baseline {
 pub struct EpochSampler {
     epoch: Time,
     epoch_start: Time,
-    last: Baseline,
+    /// Cumulative counter values at the last closed epoch boundary, in
+    /// the delta fields.
+    last: EpochSample,
     timeline: Timeline,
 }
 
@@ -235,7 +209,7 @@ impl EpochSampler {
         Self {
             epoch,
             epoch_start: Time::ZERO,
-            last: Baseline::default(),
+            last: EpochSample::default(),
             timeline: Timeline {
                 epoch,
                 epochs: Vec::new(),
@@ -245,7 +219,6 @@ impl EpochSampler {
 
     fn close_epoch(&mut self, end: Time, stats: &Stats, controller: &ShardedController) {
         let (dq, cq) = controller.write_queue_depths(end);
-        let cur = Baseline::of(stats);
         let mut sample = EpochSample {
             start: self.epoch_start,
             end,
@@ -254,13 +227,15 @@ impl EpochSampler {
             ..EpochSample::default()
         };
         macro_rules! delta {
-            ($($name:ident),*) => { $( sample.$name = cur.$name - self.last.$name; )* };
+            ($($name:ident),*) => { $(
+                sample.$name = stats.$name - self.last.$name;
+                self.last.$name = stats.$name;
+            )* };
         }
         epoch_delta_fields!(delta);
         if !sample.is_idle() {
             self.timeline.epochs.push(sample);
         }
-        self.last = cur;
         self.epoch_start = end;
     }
 
